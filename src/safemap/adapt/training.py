@@ -29,6 +29,7 @@ from ..model.training import (
     TrainError,
     TrainResult,
     batch_tensor,
+    check_lr_schedule,
     evaluate,
 )
 from .covariance import FeatureBatch, loss_coral, loss_da
@@ -57,6 +58,7 @@ class DaTrainConfig:
             raise TrainError(f"batch_size must be even and >= 2, got {self.batch_size}")
         if self.epochs < 1:
             raise TrainError("epochs must be positive")
+        check_lr_schedule(self.lr0, self.lr_decay, self.lr_decay_every)
 
     def lr_at(self, epoch: int) -> float:
         return step_decay_lr(self.lr0, epoch, self.lr_decay, self.lr_decay_every)

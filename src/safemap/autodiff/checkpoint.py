@@ -51,6 +51,8 @@ def save_checkpoint(path, params: Sequence[Tensor], meta: Optional[dict] = None)
         if p.name in names:
             raise CheckpointError(f"duplicate parameter name {p.name!r}")
         names.add(p.name)
+    if meta is not None and not isinstance(meta, dict):
+        raise CheckpointError(f"metadata must be a dict, got {type(meta).__name__}")
     meta_bytes = _canonical_json(meta if meta is not None else {})
     with open(path, "wb") as f:
         f.write(MAGIC)
@@ -89,12 +91,21 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
         if version != VERSION:
             raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
         (meta_len,) = struct.unpack("<I", _read_exact(f, 4, "metadata length"))
-        meta = json.loads(_read_exact(f, meta_len, "metadata").decode("utf-8"))
+        try:
+            meta = json.loads(_read_exact(f, meta_len, "metadata").decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as e:
+            raise CheckpointError(f"{path}: corrupt metadata: {e}") from e
+        if not isinstance(meta, dict):
+            raise CheckpointError(f"{path}: metadata must be a JSON object, "
+                                  f"got {type(meta).__name__}")
         (count,) = struct.unpack("<I", _read_exact(f, 4, "parameter count"))
         out: dict[str, np.ndarray] = {}
         for _ in range(count):
             (name_len,) = struct.unpack("<H", _read_exact(f, 2, "name length"))
-            name = _read_exact(f, name_len, "name").decode("utf-8")
+            try:
+                name = _read_exact(f, name_len, "name").decode("utf-8")
+            except UnicodeDecodeError as e:
+                raise CheckpointError(f"{path}: parameter name is not UTF-8: {e}") from e
             if name in out:
                 raise CheckpointError(f"{path}: duplicate parameter {name!r}")
             (ndim,) = struct.unpack("<B", _read_exact(f, 1, "ndim"))

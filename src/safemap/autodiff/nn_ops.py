@@ -1,10 +1,22 @@
 """Neural-network ops on top of the tensor engine.
 
 Layout convention is NCHW throughout: batched image tensors have shape
-``[B, C, H, W]``, dense activations ``[B, F]``.  conv2d runs as im2col plus
-one GEMM; its backward redistributes patch gradients with a kernel-sized
-loop of strided adds, so cost stays O(kh*kw) numpy calls regardless of
-image size.
+``[B, C, H, W]``, dense activations ``[B, F]``.
+
+conv2d is im2col plus GEMM (Chellapilla et al. 2006).  The input is read
+channel-major, ``[Cin, B, H, W]``; when padded it is first copied into a
+zero-bordered ``[Cin, B, Hp, Wp]`` buffer.  kh*kw strided slice copies then
+fill one contiguous column matrix ``cols`` of shape ``[K, N]``, with
+K = Cin*kh*kw and N = B*Ho*Wo, which is kept for the backward pass.
+
+* forward: one 2-D GEMM ``w2 @ cols`` (``w2`` is the weight as
+  ``[Cout, K]``), then one transposed copy back to contiguous NCHW;
+* backward: the upstream gradient as ``g2 = [Cout, N]`` gives
+  ``gw = g2 @ cols.T`` and ``gcol = w2.T @ g2``, two 2-D GEMMs; col2im is
+  kh*kw strided adds of ``gcol`` into a ``[Cin, B, Hp, Wp]`` buffer,
+  followed by the crop of the padding.
+
+So the numpy call count stays O(kh*kw) whatever the image size.
 """
 
 from __future__ import annotations
@@ -68,41 +80,43 @@ def conv2d(x, weight, bias=None, stride: int = 1, pad: int = 0) -> Tensor:
         raise ShapeError(f"conv2d invalid stride={stride} pad={pad}")
     Ho = conv_out_size(H, kh, stride, pad)
     Wo = conv_out_size(W, kw, stride, pad)
+    Hp, Wp = H + 2 * pad, W + 2 * pad
+    K, N = Cin * kh * kw, B * Ho * Wo
 
+    # channel-major input [Cin, B, Hp, Wp]; padding is a zero border
+    xt = x.data.transpose(1, 0, 2, 3)
     if pad:
-        xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+        xp = np.zeros((Cin, B, Hp, Wp))
+        xp[:, :, pad:pad + H, pad:pad + W] = xt
     else:
-        xp = x.data
-    # windows: [B, Cin, Hp-kh+1, Wp-kw+1, kh, kw] -> stride-subsampled view
-    windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    windows = windows[:, :, ::stride, ::stride, :, :]
-    # cols: [B, Ho, Wo, Cin*kh*kw]
-    cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(B, Ho, Wo, Cin * kh * kw)
-    w2 = weight.data.reshape(Cout, Cin * kh * kw)
-    out_data = cols @ w2.T  # [B, Ho, Wo, Cout]
-    out_data = out_data.transpose(0, 3, 1, 2).copy()
+        xp = xt
+    # im2col: cols[(ci, i, j), (b, oy, ox)] = xp[ci, b, i + stride*oy, j + stride*ox]
+    cols6 = np.empty((Cin, kh, kw, B, Ho, Wo))
+    for i in range(kh):
+        for j in range(kw):
+            cols6[:, i, j] = xp[:, :, i:i + stride * Ho:stride, j:j + stride * Wo:stride]
+    cols = cols6.reshape(K, N)
+    w2 = weight.data.reshape(Cout, K)
+    out2 = w2 @ cols  # [Cout, N]
     if b_t is not None:
-        out_data += b_t.data.reshape(1, Cout, 1, 1)
+        out2 += b_t.data[:, None]
+    out_data = np.ascontiguousarray(out2.reshape(Cout, B, Ho, Wo).transpose(1, 0, 2, 3))
 
     def bwd(g):
-        # g: [B, Cout, Ho, Wo]
-        g_cols = g.transpose(0, 2, 3, 1)  # [B, Ho, Wo, Cout]
+        # g: [B, Cout, Ho, Wo] -> g2: [Cout, N], matching the column order of cols
+        g2 = g.transpose(1, 0, 2, 3).reshape(Cout, N)
         if weight.requires_grad:
-            gw = np.tensordot(g_cols, cols, axes=([0, 1, 2], [0, 1, 2]))  # [Cout, Cin*kh*kw]
-            _accumulate(weight, gw.reshape(weight.shape))
+            _accumulate(weight, (g2 @ cols.T).reshape(weight.shape))
         if b_t is not None and b_t.requires_grad:
-            _accumulate(b_t, g.sum(axis=(0, 2, 3)))
+            _accumulate(b_t, g2.sum(axis=1))
         if x.requires_grad:
-            gcol = g_cols @ w2  # [B, Ho, Wo, Cin*kh*kw]
-            gcol = gcol.reshape(B, Ho, Wo, Cin, kh, kw).transpose(0, 3, 1, 2, 4, 5)
-            Hp, Wp = H + 2 * pad, W + 2 * pad
-            gx = np.zeros((B, Cin, Hp, Wp), dtype=np.float64)
+            # col2im: scatter-add each kernel tap's patch gradients back
+            gcol = (w2.T @ g2).reshape(Cin, kh, kw, B, Ho, Wo)
+            gxp = np.zeros((Cin, B, Hp, Wp))
             for i in range(kh):
                 for j in range(kw):
-                    gx[:, :, i:i + stride * Ho:stride, j:j + stride * Wo:stride] += gcol[:, :, :, :, i, j]
-            if pad:
-                gx = gx[:, :, pad:pad + H, pad:pad + W]
-            _accumulate(x, gx)
+                    gxp[:, :, i:i + stride * Ho:stride, j:j + stride * Wo:stride] += gcol[:, i, j]
+            _accumulate(x, gxp[:, :, pad:pad + H, pad:pad + W].transpose(1, 0, 2, 3))
 
     parents = (x, weight) if b_t is None else (x, weight, b_t)
     return _make_op(out_data, parents, bwd, "conv2d")

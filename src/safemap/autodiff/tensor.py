@@ -15,7 +15,7 @@ immediately rather than letting them propagate.
 from __future__ import annotations
 
 import threading
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -210,9 +210,12 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 
 def _make_op(out_data: np.ndarray, parents: Sequence[Tensor],
              backward_fn: Callable[[np.ndarray], None], op: str) -> Tensor:
+    out_data = np.asarray(out_data, dtype=np.float64)
     _check_finite(out_data, op)
     requires = any(p.requires_grad for p in parents)
-    out = Tensor(out_data, requires_grad=requires)
+    # checked above under the op's name, so skip the constructor's check
+    out = Tensor.__new__(Tensor)
+    out.data, out.grad, out.requires_grad, out.name = out_data, None, requires, None
     tape = _active_tape()
     if requires and tape is not None:
         tape._record(out, backward_fn)
@@ -409,8 +412,3 @@ def select_stack(candidates: Sequence[Tensor], selected) -> Tensor:
 def parameter(data, name: Optional[str] = None) -> Tensor:
     """Trainable leaf tensor."""
     return Tensor(data, requires_grad=True, name=name)
-
-
-def collect_gradless(params: Iterable[Tensor]) -> list[Tensor]:
-    """Parameters that received no gradient in the last backward pass."""
-    return [p for p in params if p.grad is None]

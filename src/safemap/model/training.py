@@ -7,6 +7,7 @@ Identical seeds give bit-identical parameters, metrics, and checkpoints.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional
@@ -31,6 +32,15 @@ class TrainError(Exception):
     """Unusable training inputs."""
 
 
+def check_lr_schedule(lr0: float, lr_decay: float, lr_decay_every: int) -> None:
+    """Reject step-decay settings that would only fail epochs into a run."""
+    for name, value in (("lr0", lr0), ("lr_decay", lr_decay)):
+        if not 0 < value < math.inf:
+            raise TrainError(f"{name} must be positive and finite, got {value}")
+    if lr_decay_every < 1:
+        raise TrainError(f"lr_decay_every must be at least 1, got {lr_decay_every}")
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 50
@@ -48,8 +58,7 @@ class TrainConfig:
             raise TrainError(f"epochs must be at least 1, got {self.epochs}")
         if self.batch_size < 1:
             raise TrainError(f"batch_size must be at least 1, got {self.batch_size}")
-        if self.lr0 <= 0:
-            raise TrainError(f"lr0 must be positive, got {self.lr0}")
+        check_lr_schedule(self.lr0, self.lr_decay, self.lr_decay_every)
 
     def lr_at(self, epoch: int) -> float:
         return step_decay_lr(self.lr0, epoch, self.lr_decay, self.lr_decay_every)

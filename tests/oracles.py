@@ -32,6 +32,31 @@ def conv2d_naive(x: np.ndarray, w: np.ndarray, b: np.ndarray | None,
     return out
 
 
+def conv2d_backward_naive(x: np.ndarray, w: np.ndarray, g: np.ndarray,
+                          stride: int, pad: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gradients (gx, gw, gb) of sum(g * conv2d(x, w, b)), one tap at a time."""
+    B, Cin, H, W = x.shape
+    Cout, _, kh, kw = w.shape
+    _, _, Ho, Wo = g.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    gxp = np.zeros_like(xp)
+    gw = np.zeros_like(w)
+    gb = np.zeros(Cout)
+    for n in range(B):
+        for co in range(Cout):
+            for i in range(Ho):
+                for j in range(Wo):
+                    gout = g[n, co, i, j]
+                    gb[co] += gout
+                    for ci in range(Cin):
+                        for u in range(kh):
+                            for v in range(kw):
+                                r, c = i * stride + u, j * stride + v
+                                gw[co, ci, u, v] += gout * xp[n, ci, r, c]
+                                gxp[n, ci, r, c] += gout * w[co, ci, u, v]
+    return gxp[:, :, pad:pad + H, pad:pad + W], gw, gb
+
+
 def pool_bins(length: int, out: int) -> list[tuple[int, int]]:
     return [(math.floor(i * length / out), math.floor((i + 1) * length / out))
             for i in range(out)]

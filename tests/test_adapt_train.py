@@ -194,3 +194,12 @@ class TestTrainDamDa:
             DaTrainConfig(lam=-1.0)
         with pytest.raises(TrainError):
             DaTrainConfig(batch_size=5)
+
+    @pytest.mark.parametrize("field,value", [
+        ("lr0", 0.0), ("lr0", -1e-4), ("lr0", float("nan")),
+        ("lr_decay", 0.0), ("lr_decay", -0.5), ("lr_decay", float("inf")),
+        ("lr_decay_every", 0), ("lr_decay_every", -1),
+    ])
+    def test_bad_lr_schedule_rejected(self, field, value):
+        with pytest.raises(TrainError, match=field):
+            DaTrainConfig(**{field: value})

@@ -85,3 +85,65 @@ def test_duplicate_name_rejected(tmp_path):
     ps = [parameter(np.ones(1), name="w"), parameter(np.ones(1), name="w")]
     with pytest.raises(CheckpointError, match="duplicate"):
         save_checkpoint(tmp_path / "x.ckpt", ps, meta={})
+
+
+META_AT = 16  # magic (8) + version (4) + metadata length (4)
+
+
+def corrupt(path, offset, byte):
+    blob = bytearray(path.read_bytes())
+    blob[offset] = byte
+    path.write_bytes(bytes(blob))
+
+
+def test_corrupt_metadata_json_rejected(tmp_path):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, make_params(), meta={"k": 1})
+    corrupt(path, META_AT, ord("x"))  # '{' -> 'x'
+    with pytest.raises(CheckpointError, match="corrupt metadata"):
+        load_checkpoint(path)
+
+
+def test_non_utf8_metadata_rejected(tmp_path):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, make_params(), meta={"k": 1})
+    corrupt(path, META_AT + 2, 0xFF)
+    with pytest.raises(CheckpointError, match="corrupt metadata"):
+        load_checkpoint(path)
+
+
+def test_metadata_must_be_an_object(tmp_path):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, make_params(), meta={})
+    corrupt(path, META_AT, ord("["))  # metadata '{}' becomes '[]', valid JSON
+    corrupt(path, META_AT + 1, ord("]"))
+    with pytest.raises(CheckpointError, match="JSON object"):
+        load_checkpoint(path)
+    with pytest.raises(CheckpointError, match="metadata must be a dict"):
+        save_checkpoint(path, make_params(), meta=[1, 2])
+
+
+def test_non_utf8_parameter_name_rejected(tmp_path):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, [parameter(np.ones(2), name="ab")], meta={})
+    blob = path.read_bytes()
+    corrupt(path, blob.index(b"\x02\x00ab") + 2, 0xFF)
+    with pytest.raises(CheckpointError, match="not UTF-8"):
+        load_checkpoint(path)
+
+
+def test_any_flipped_metadata_byte_raises_only_checkpoint_error(tmp_path):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, make_params(), meta={"epoch": 3, "config": {"d": 64}})
+    clean = path.read_bytes()
+    meta_len = int.from_bytes(clean[12:16], "little")
+    for offset in range(META_AT, META_AT + meta_len):
+        for mask in (0x01, 0x20, 0x80):
+            corrupt(path, offset, clean[offset] ^ mask)
+            try:
+                _, meta = load_checkpoint(path)
+            except CheckpointError:
+                pass
+            else:
+                assert isinstance(meta, dict)
+            path.write_bytes(clean)

@@ -5,7 +5,10 @@ import os
 
 import pytest
 
+from safemap.autodiff import save_checkpoint
 from safemap.cli import COMMANDS, EXIT_DATA, EXIT_OK, EXIT_USAGE, build_parser, main
+from safemap.model.config import DamConfig
+from safemap.model.network import init_params
 
 from oracles import kmeans2_best_split
 
@@ -89,6 +92,18 @@ class TestConfigErrors:
                            {"paths": {"run_dir": str(tmp_path / "run")}})
         assert main(["train", "--config", cfg]) == EXIT_USAGE
         assert "paths.manifest" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section,key,value", [
+        ("train", "lr_decay", 0), ("train", "lr_decay_every", 0),
+        ("da", "lr0", 0), ("da", "lr_decay", -1.0), ("da", "lr_decay_every", 0),
+    ])
+    def test_bad_lr_schedule_is_usage_error(self, tmp_path, capsys, section, key, value):
+        cfg = write_config(tmp_path / "c.json", {section: {key: value},
+                                                 "paths": {"run_dir": str(tmp_path / "run")}})
+        assert main(["train", "--config", cfg]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"section '{section}'" in err and key in err
+        assert "Traceback" not in err
 
     def test_missing_input_file_is_data_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.json",
@@ -224,6 +239,24 @@ class TestTraining:
                       "image": str(synth_run / "source_00000.ppm")}})
         assert main(["cam", "--config", cam_cfg]) == EXIT_DATA
         assert "shape mismatch" in capsys.readouterr().err
+
+    def test_corrupt_checkpoint_metadata_is_data_error(self, synth_run, tmp_path, capsys):
+        ckpt = tmp_path / "bad.ckpt"
+        params = init_params(DamConfig.from_dict(SMALL_MODEL), seed=0)
+        save_checkpoint(ckpt, params.all(), {"epoch": 1})
+        blob = bytearray(ckpt.read_bytes())
+        blob[16] ^= 0x01  # first byte of the metadata JSON
+        ckpt.write_bytes(bytes(blob))
+        eval_cfg = write_config(tmp_path / "eval.json", {
+            "model": SMALL_MODEL,
+            "paths": {"run_dir": str(tmp_path / "e"),
+                      "manifest": str(synth_run / "manifest.jsonl"),
+                      "image_root": str(synth_run),
+                      "checkpoint": str(ckpt)}})
+        assert main(["eval", "--config", eval_cfg]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "corrupt metadata" in err
+        assert "Traceback" not in err
 
     def test_cam_writes_pgm(self, synth_run, tmp_path, capsys):
         train_run = tmp_path / "t"

@@ -1,4 +1,4 @@
-"""Forward-value checks for the tensor engine ops.
+"""Forward-value checks for the tensor engine ops, and conv2d gradients.
 
 Derived expectations are frozen from the brute-force oracles in oracles.py;
 the random-shape tests recompute the oracle inline.
@@ -32,7 +32,13 @@ from safemap.autodiff import (
     softmax_cross_entropy,
     tensor_sum,
 )
-from oracles import adaptive_avg_pool_naive, conv2d_naive, cross_entropy_naive, roi_avg_pool_naive
+from oracles import (
+    adaptive_avg_pool_naive,
+    conv2d_backward_naive,
+    conv2d_naive,
+    cross_entropy_naive,
+    roi_avg_pool_naive,
+)
 
 
 class TestConv2d:
@@ -74,6 +80,70 @@ class TestConv2d:
     def test_kernel_larger_than_padded_input_rejected(self):
         with pytest.raises(ShapeError):
             conv2d(Tensor(np.zeros((1, 1, 2, 2))), Tensor(np.zeros((1, 1, 5, 5))))
+
+
+def _conv_backward(x, w, b, stride, pad, seed):
+    """Run conv2d and backpropagate a random upstream gradient g; returns (out, g)."""
+    with Tape():
+        out = conv2d(x, w, b, stride=stride, pad=pad)
+        g = np.random.default_rng(seed).normal(size=out.shape)
+        backward(tensor_sum(out * Tensor(g)))
+    return out, g
+
+
+class TestConv2dBackward:
+    """Gradients of the im2col/GEMM conv against the plain-loop oracle."""
+
+    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize("kernel", [(1, 1), (3, 3), (2, 3)])
+    @pytest.mark.parametrize("pad", [0, 1, 2])
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    def test_matches_naive_oracle(self, stride, pad, kernel, batch):
+        rng = np.random.default_rng([stride, pad, kernel[0], kernel[1], batch])
+        x = parameter(rng.normal(size=(batch, 2, 7, 9)), name="x")
+        w = parameter(rng.normal(size=(3, 2) + kernel), name="w")
+        b = parameter(rng.normal(size=3), name="b")
+        out, g = _conv_backward(x, w, b, stride, pad, seed=1)
+        gx, gw, gb = conv2d_backward_naive(x.data, w.data, g, stride, pad)
+        np.testing.assert_allclose(x.grad, gx, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(w.grad, gw, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(b.grad, gb, rtol=0, atol=1e-12)
+        assert out.data.dtype == np.float64
+        assert out.data.flags.c_contiguous
+        np.testing.assert_allclose(out.data, conv2d_naive(x.data, w.data, b.data, stride, pad),
+                                   rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("stride,pad", [(1, 1), (2, 0)])
+    def test_input_without_grad(self, stride, pad):
+        rng = np.random.default_rng(11)
+        x = Tensor(rng.normal(size=(2, 3, 6, 5)))
+        w = parameter(rng.normal(size=(4, 3, 3, 3)), name="w")
+        b = parameter(rng.normal(size=4), name="b")
+        _, g = _conv_backward(x, w, b, stride, pad, seed=2)
+        _, gw, gb = conv2d_backward_naive(x.data, w.data, g, stride, pad)
+        assert x.grad is None
+        np.testing.assert_allclose(w.grad, gw, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(b.grad, gb, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("stride,pad", [(1, 1), (2, 2)])
+    def test_weight_without_grad(self, stride, pad):
+        rng = np.random.default_rng(12)
+        x = parameter(rng.normal(size=(2, 3, 6, 5)), name="x")
+        w = Tensor(rng.normal(size=(4, 3, 2, 3)))
+        b = Tensor(rng.normal(size=4))
+        _, g = _conv_backward(x, w, b, stride, pad, seed=3)
+        gx, _, _ = conv2d_backward_naive(x.data, w.data, g, stride, pad)
+        assert w.grad is None and b.grad is None
+        np.testing.assert_allclose(x.grad, gx, rtol=0, atol=1e-12)
+
+    def test_no_bias(self):
+        rng = np.random.default_rng(13)
+        x = parameter(rng.normal(size=(1, 2, 5, 5)), name="x")
+        w = parameter(rng.normal(size=(2, 2, 3, 3)), name="w")
+        _, g = _conv_backward(x, w, None, 1, 1, seed=4)
+        gx, gw, _ = conv2d_backward_naive(x.data, w.data, g, 1, 1)
+        np.testing.assert_allclose(x.grad, gx, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(w.grad, gw, rtol=0, atol=1e-12)
 
 
 class TestLinear:
@@ -292,6 +362,25 @@ class TestTapeAndErrors:
         b = Tensor([0.0])
         with pytest.raises(NonFiniteError):
             a / b
+
+    def test_non_finite_op_output_names_the_op(self):
+        with pytest.raises(NonFiniteError, match="^div produced"):
+            Tensor([1.0]) / Tensor([0.0])
+
+    def test_op_output_checked_once(self, monkeypatch):
+        from safemap.autodiff import tensor as tensor_mod
+        a, b = Tensor([1.0]), Tensor([2.0])
+        real_check = tensor_mod._check_finite
+        checked = []
+
+        def counting_check(arr, op):
+            checked.append(op)
+            real_check(arr, op)
+
+        monkeypatch.setattr(tensor_mod, "_check_finite", counting_check)
+        out = a + b
+        assert checked == ["add"]
+        assert out.data.dtype == np.float64 and out.grad is None and out.name is None
 
     def test_nested_tapes_rejected(self):
         with Tape():

@@ -53,6 +53,16 @@ class TestDefaults:
         with pytest.raises(TrainError):
             TrainConfig(lr0=0.0)
 
+    @pytest.mark.parametrize("field,value", [
+        ("lr0", -1e-4), ("lr0", float("nan")), ("lr0", float("inf")),
+        ("lr_decay", 0.0), ("lr_decay", -0.5), ("lr_decay", float("nan")),
+        ("lr_decay", float("inf")), ("lr_decay_every", 0), ("lr_decay_every", -3),
+    ])
+    def test_bad_lr_schedule_rejected(self, field, value):
+        # each of these used to pass construction and fail only epochs later
+        with pytest.raises(TrainError, match=field):
+            TrainConfig(**{field: value})
+
 
 class TestDescent:
     @pytest.mark.parametrize("seed", [0, 1, 2])
