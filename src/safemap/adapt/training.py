@@ -6,6 +6,9 @@ domains' class-conditional covariance matrices (or plain feature
 covariances when the class-agnostic baseline is selected). With lam = 0 the
 alignment graph is never built, so the per-batch loss is bit-equal to plain
 classification training on the combined batch.
+
+``train_dam_da`` supplies the half/half batch source and ``da_batch_loss``
+to the shared epoch loop, ``model.training.train_loop``.
 """
 
 from dataclasses import dataclass
@@ -13,55 +16,40 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ..autodiff import (
-    Tape,
-    backward,
-    gather_rows,
-    sgd_step,
-    softmax_cross_entropy,
-    step_decay_lr,
-)
+from ..autodiff import gather_rows, softmax_cross_entropy
 from ..model.config import DamConfig
-from ..model.network import DamParams, forward, init_params
+from ..model.network import DamParams
 from ..model.training import (
     Dataset,
-    MetricsRow,
+    TrainConfig,
     TrainError,
     TrainResult,
-    batch_tensor,
-    check_lr_schedule,
-    evaluate,
+    train_loop,
 )
 from .covariance import FeatureBatch, loss_coral, loss_da
 
+# Not called in this module, but the traced benchmark (bench/layers.py
+# TARGETS) wraps these names here and fails if they are missing.
+from ..autodiff import backward, sgd_step  # noqa: F401
+from ..model.network import forward  # noqa: F401
+from ..model.training import evaluate  # noqa: F401
+
 
 @dataclass(frozen=True)
-class DaTrainConfig:
+class DaTrainConfig(TrainConfig):
     """Adaptation trainer settings; lam weights the alignment loss."""
 
-    lam: float = 1.0
     batch_size: int = 16  # split evenly between the domains
-    epochs: int = 50
-    lr0: float = 1e-4
-    lr_decay: float = 0.5
-    lr_decay_every: int = 10
-    seed: int = 0
+    lam: float = 1.0
     baseline_loss: bool = False      # class-agnostic covariance baseline
     target_in_classifier_loss: bool = True  # include pseudo-labels in L_C
-    eval_batch_size: int = 64
-    early_stop_val_acc: Optional[float] = None
 
     def __post_init__(self):
+        super().__post_init__()
         if self.lam < 0:
             raise TrainError(f"lam must be >= 0, got {self.lam}")
-        if self.batch_size < 2 or self.batch_size % 2:
+        if self.batch_size % 2:
             raise TrainError(f"batch_size must be even and >= 2, got {self.batch_size}")
-        if self.epochs < 1:
-            raise TrainError("epochs must be positive")
-        check_lr_schedule(self.lr0, self.lr_decay, self.lr_decay_every)
-
-    def lr_at(self, epoch: int) -> float:
-        return step_decay_lr(self.lr0, epoch, self.lr_decay, self.lr_decay_every)
 
 
 @dataclass
@@ -131,61 +119,18 @@ def train_dam_da(source_set: Dataset, target_set: Dataset,
         raise TrainError(
             f"need at least {half} samples per domain, have "
             f"{len(source_set)} source and {len(target_set)} target")
-    if params is None:
-        params = init_params(config, seed=da_cfg.seed)
-    frozen = params.expected_gradless(config)
-    all_params = params.all()
-    shuffle_rng = np.random.default_rng([da_cfg.seed, 1])
-    metrics: list[MetricsRow] = []
-    final_val_acc = 0.0
-    epochs_run = 0
-    stopped = False
-    for epoch in range(da_cfg.epochs):
-        lr = da_cfg.lr_at(epoch)
-        src_order = shuffle_rng.permutation(len(source_set))
-        tgt_order = shuffle_rng.permutation(len(target_set))
-        epoch_loss = 0.0
-        epoch_correct = 0
-        epoch_n = 0
-        degenerate_batches = 0
+
+    def batches(rng):
+        src_order = rng.permutation(len(source_set))
+        tgt_order = rng.permutation(len(target_set))
         for step in range(steps):
             si = src_order[step * half:(step + 1) * half]
             ti = tgt_order[step * half:(step + 1) * half]
-            x = batch_tensor(np.concatenate([source_set.images[si],
-                                             target_set.images[ti]]))
-            ys, yt = source_set.labels[si], target_set.labels[ti]
-            with Tape():
-                trace = forward(x, params, config)
-                batch = da_batch_loss(trace, ys, yt, da_cfg)
-                backward(batch.total)
-            sgd_step(all_params, lr, allow_gradless=frozen)
-            if batch.degenerate:
-                degenerate_batches += 1
-            epoch_loss += batch.total.item() * 2 * half
-            epoch_correct += int((trace.logits.data.argmax(axis=1)
-                                  == np.concatenate([ys, yt])).sum())
-            epoch_n += 2 * half
-        epochs_run = epoch + 1
-        train_loss = epoch_loss / epoch_n
-        train_acc = epoch_correct / epoch_n
-        metrics.append(MetricsRow(epoch, "train", train_loss, train_acc))
-        if val_set is not None and len(val_set):
-            val_loss, val_acc, _ = evaluate(val_set, params, config,
-                                            da_cfg.eval_batch_size)
-            metrics.append(MetricsRow(epoch, "val", val_loss, val_acc))
-            final_val_acc = val_acc
-        if log:
-            msg = (f"epoch {epoch}: lr {lr:.2e} train loss {train_loss:.4f} "
-                   f"acc {train_acc:.3f}")
-            if val_set is not None:
-                msg += f" val acc {final_val_acc:.3f}"
-            if degenerate_batches:
-                msg += f" ({degenerate_batches} degenerate batches)"
-            log(msg)
-        if (da_cfg.early_stop_val_acc is not None and val_set is not None
-                and final_val_acc >= da_cfg.early_stop_val_acc):
-            stopped = True
-            break
-    return TrainResult(params=params, metrics=metrics,
-                       final_val_accuracy=final_val_acc,
-                       epochs_run=epochs_run, stopped_early=stopped)
+            yield (np.concatenate([source_set.images[si], target_set.images[ti]]),
+                   np.concatenate([source_set.labels[si], target_set.labels[ti]]))
+
+    def batch_loss(trace, y):
+        batch = da_batch_loss(trace, y[:half], y[half:], da_cfg)
+        return batch.total, batch.degenerate
+
+    return train_loop(batches, batch_loss, val_set, config, da_cfg, params, log)

@@ -165,26 +165,7 @@ def adaptive_avg_pool(x, out_hw: tuple) -> Tensor:
     x = _as_tensor(x)
     if x.data.ndim != 4:
         raise ShapeError(f"adaptive_avg_pool expects 4-D input, got {x.shape}")
-    oh, ow = out_hw
-    B, C, H, W = x.shape
-    he = _check_bins(H, oh, "adaptive_avg_pool rows")
-    we = _check_bins(W, ow, "adaptive_avg_pool cols")
-    out_data = np.empty((B, C, oh, ow), dtype=np.float64)
-    for i in range(oh):
-        for j in range(ow):
-            out_data[:, :, i, j] = x.data[:, :, he[i]:he[i + 1], we[j]:we[j + 1]].mean(axis=(2, 3))
-
-    def bwd(g):
-        if not x.requires_grad:
-            return
-        gx = np.zeros_like(x.data)
-        for i in range(oh):
-            for j in range(ow):
-                n = (he[i + 1] - he[i]) * (we[j + 1] - we[j])
-                gx[:, :, he[i]:he[i + 1], we[j]:we[j + 1]] += (g[:, :, i, j] / n)[:, :, None, None]
-        _accumulate(x, gx)
-
-    return _make_op(out_data, (x,), bwd, "adaptive_avg_pool")
+    return roi_avg_pool(x, Rect(0, x.shape[2], 0, x.shape[3]), out_hw)
 
 
 def roi_avg_pool(x, rect: Rect, out_hw: tuple) -> Tensor:
@@ -248,26 +229,6 @@ def channel_concat(tensors: Sequence[Tensor]) -> Tensor:
             _accumulate(t, gpart)
 
     return _make_op(out_data, tuple(ts), bwd, "channel_concat")
-
-
-def channel_slice(x, start: int, stop: int) -> Tensor:
-    """Take channels [start, stop) of a [B,C,H,W] tensor."""
-    x = _as_tensor(x)
-    if x.data.ndim != 4:
-        raise ShapeError(f"channel_slice expects 4-D input, got {x.shape}")
-    C = x.shape[1]
-    if not (0 <= start < stop <= C):
-        raise ShapeError(f"channel_slice [{start},{stop}) out of range for {C} channels")
-    out_data = x.data[:, start:stop].copy()
-
-    def bwd(g):
-        if not x.requires_grad:
-            return
-        gx = np.zeros_like(x.data)
-        gx[:, start:stop] = g
-        _accumulate(x, gx)
-
-    return _make_op(out_data, (x,), bwd, "channel_slice")
 
 
 def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:

@@ -33,8 +33,6 @@ import sys
 from pathlib import Path
 from typing import Optional
 
-import numpy as np
-
 from .adapt import AdaptError, pseudo_label, train_dam_da
 from .autodiff import (
     CheckpointError,
@@ -57,7 +55,9 @@ from .geo.ppm import PpmError, read_ppm
 from .geo.records import IngestError, ingest_accidents
 from .geo.synth import SynthError, synth_generate
 from .model.config import ConfigError
-from .model.network import forward, init_params
+from .model.network import init_params, predict
+# not called here, but the traced benchmark (bench/layers.py TARGETS) wraps it
+from .model.network import forward  # noqa: F401
 from .model.training import (
     TrainError,
     batch_tensor,
@@ -344,18 +344,19 @@ def cmd_map_export(cfg: RunConfig, run: RunDir) -> None:
     manifest = load_manifest(_require(cfg.paths.manifest, "manifest"))
     root = _require(cfg.paths.image_root, "image_root")
     dataset = load_split(manifest, root)
+    cells = [entry.cell for entry in dataset.entries]
+    seen = set()
+    for cell in cells:
+        if cell in seen:
+            raise ExportError(f"manifest has more than one entry for cell {cell}")
+        seen.add(cell)
     params, _ = _load_params(cfg)
     predictions = {}
     for start in range(0, len(dataset), cfg.eval.batch_size):
-        sl = slice(start, min(start + cfg.eval.batch_size, len(dataset)))
-        trace = forward(batch_tensor(dataset.images[sl]), params, cfg.model)
-        logits = trace.logits.data
-        shifted = np.exp(logits - logits.max(axis=1, keepdims=True))
-        prob_dangerous = shifted[:, DANGEROUS] / shifted.sum(axis=1)
-        for offset, entry in enumerate(dataset.entries[sl]):
-            predictions[entry.cell] = CellPrediction(
-                label=int(logits[offset].argmax()),
-                prob_dangerous=float(prob_dangerous[offset]))
+        sl = slice(start, start + cfg.eval.batch_size)
+        labels, probs = predict(batch_tensor(dataset.images[sl]), params, cfg.model)
+        for cell, label, prob in zip(cells[sl], labels, probs[:, DANGEROUS]):
+            predictions[cell] = CellPrediction(label=int(label), prob_dangerous=float(prob))
     safety_map_export(spec, predictions,
                       run.path("safety_map.csv"), run.path("safety_map.ppm"))
     counts = {"safe": sum(1 for p in predictions.values() if p.label != DANGEROUS),

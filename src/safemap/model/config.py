@@ -76,9 +76,6 @@ class DamConfig:
     d: int = 32
     num_classes: int = 2
     use_local: bool = True
-    # feature map the subregions are cut from (1-based stage index); the
-    # later-stage attachment variant exists as a hook but is untested
-    roi_stage: int = 2
     da_mode: bool = False
     # 1x1 dimension-reduction convs appended after fusion in da_mode
     da_reduce_widths: tuple[int, int] = (32, 16)
@@ -103,8 +100,6 @@ class DamConfig:
         if len({s.pooled for s in self.schemes}) > 1:
             raise ConfigError("all schemes must share one pooled size "
                               "(local maps are fused through a single branch)")
-        if self.roi_stage not in (1, 2, 3):
-            raise ConfigError(f"roi_stage must be 1, 2 or 3, got {self.roi_stage}")
 
     @property
     def active_local_widths(self) -> tuple[int, int]:

@@ -102,8 +102,7 @@ def init_params(config: DamConfig, seed: int = 0) -> DamParams:
         cin = width
     if config.use_local:
         l1, l2 = config.active_local_widths
-        roi_c = config.stage_widths[config.roi_stage - 1]
-        p.add("local.conv1.weight", _he_conv(rng, l1, roi_c, 3))
+        p.add("local.conv1.weight", _he_conv(rng, l1, config.stage_widths[1], 3))
         p.add("local.conv1.bias", np.zeros(l1))
         p.add("local.conv2.weight", _he_conv(rng, l2, l1, 3))
         p.add("local.conv2.bias", np.zeros(l2))
@@ -218,22 +217,20 @@ class ForwardTrace:
 
 
 def forward(images: Tensor, params: DamParams, config: DamConfig) -> ForwardTrace:
-    B = images.shape[0]
     if images.shape[1:] != (config.in_channels, *config.input_hw):
         raise ConfigError(f"input shape {images.shape[1:]} does not match config "
                           f"{(config.in_channels, *config.input_hw)}")
     h = images
-    maps = {}
     for i in range(1, 5):
         h = _stage(h, params, i, config.stage_strides[i - 1], config.stage_pads[i - 1])
-        maps[i] = h
-    conv4 = maps[4]
+        if i == 2:
+            shared = h  # the subregions are cut from the stage-2 map
+    conv4 = h
 
     region_probs = None
     selected = None
     tags = None
     if config.use_local:
-        shared = maps[config.roi_stage]
         regions = partition_regions(shared.shape[2:], config.schemes)
         tags = [t for _, t in regions]
         pooled = config.schemes[0].pooled

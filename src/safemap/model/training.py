@@ -1,16 +1,21 @@
-"""Cross-entropy training loop for the attention classifier.
+"""The epoch loop every trainer runs, and cross-entropy training on it.
 
-Plain SGD over seeded-shuffled batches with step-decayed learning rate.
-Identical seeds give bit-identical parameters, metrics, and checkpoints.
+``train_loop`` is the one place where batches are stepped through: plain
+SGD with a step-decayed learning rate, per-epoch train/val metrics, the
+progress line and early stopping. A trainer supplies a batch source (one
+seeded shuffle per epoch) and a batch loss. ``train_dam`` is plain
+cross-entropy on one shuffled set; ``adapt.training.train_dam_da`` is the
+half source, half target adaptation trainer. Identical seeds give
+bit-identical parameters, metrics, and checkpoints.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
@@ -25,20 +30,11 @@ from ..autodiff import (
 from ..geo.manifest import DatasetManifest, ManifestEntry, warn_if_unbalanced
 from ..geo.ppm import read_ppm
 from .config import DamConfig
-from .network import DamParams, forward, init_params, predict
+from .network import DamParams, ForwardTrace, forward, init_params
 
 
 class TrainError(Exception):
     """Unusable training inputs."""
-
-
-def check_lr_schedule(lr0: float, lr_decay: float, lr_decay_every: int) -> None:
-    """Reject step-decay settings that would only fail epochs into a run."""
-    for name, value in (("lr0", lr0), ("lr_decay", lr_decay)):
-        if not 0 < value < math.inf:
-            raise TrainError(f"{name} must be positive and finite, got {value}")
-    if lr_decay_every < 1:
-        raise TrainError(f"lr_decay_every must be at least 1, got {lr_decay_every}")
 
 
 @dataclass(frozen=True)
@@ -54,11 +50,14 @@ class TrainConfig:
     eval_batch_size: int = 64
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise TrainError(f"epochs must be at least 1, got {self.epochs}")
-        if self.batch_size < 1:
-            raise TrainError(f"batch_size must be at least 1, got {self.batch_size}")
-        check_lr_schedule(self.lr0, self.lr_decay, self.lr_decay_every)
+        # reject values that would only fail epochs into a run
+        for name in ("epochs", "batch_size", "lr_decay_every", "eval_batch_size"):
+            if getattr(self, name) < 1:
+                raise TrainError(f"{name} must be at least 1, got {getattr(self, name)}")
+        for name in ("lr0", "lr_decay"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise TrainError(f"{name} must be positive and finite, "
+                                 f"got {getattr(self, name)}")
 
     def lr_at(self, epoch: int) -> float:
         return step_decay_lr(self.lr0, epoch, self.lr_decay, self.lr_decay_every)
@@ -131,14 +130,16 @@ class TrainResult:
     stopped_early: bool = False
 
 
-def train_dam(train_set: Dataset, val_set: Optional[Dataset], config: DamConfig,
-              train_cfg: TrainConfig = TrainConfig(),
-              params: Optional[DamParams] = None,
-              log: Optional[Callable[[str], None]] = None) -> TrainResult:
-    """Minimize classification cross-entropy; returns params plus per-epoch metrics."""
-    if len(train_set) == 0:
-        raise TrainError("empty training set")
-    warn_if_unbalanced(train_set.entries, "training set")
+# one epoch's (uint8 images [B,C,H,W], labels [B]) batches, drawn with the shuffle rng
+BatchSource = Callable[[np.random.Generator], Iterable[tuple[np.ndarray, np.ndarray]]]
+# (forward trace, labels) -> (scalar loss tensor, batch missing a class in some domain)
+BatchLoss = Callable[[ForwardTrace, np.ndarray], tuple[Tensor, bool]]
+
+
+def train_loop(batches: BatchSource, batch_loss: BatchLoss, val_set: Optional[Dataset],
+               config: DamConfig, train_cfg: TrainConfig, params: Optional[DamParams],
+               log: Optional[Callable[[str], None]]) -> TrainResult:
+    """Minimize batch_loss by SGD over train_cfg.epochs; params plus per-epoch metrics."""
     if params is None:
         params = init_params(config, seed=train_cfg.seed)
     frozen = params.expected_gradless(config)
@@ -150,25 +151,26 @@ def train_dam(train_set: Dataset, val_set: Optional[Dataset], config: DamConfig,
     stopped = False
     for epoch in range(train_cfg.epochs):
         lr = train_cfg.lr_at(epoch)
-        order = shuffle_rng.permutation(len(train_set))
         epoch_loss = 0.0
         epoch_correct = 0
-        for start in range(0, len(order), train_cfg.batch_size):
-            idx = order[start:start + train_cfg.batch_size]
-            x = batch_tensor(train_set.images[idx])
-            y = train_set.labels[idx]
+        epoch_n = 0
+        degenerate_batches = 0
+        for images, y in batches(shuffle_rng):
+            x = batch_tensor(images)
             with Tape():
                 trace = forward(x, params, config)
-                loss = softmax_cross_entropy(trace.logits, y)
+                loss, degenerate = batch_loss(trace, y)
                 backward(loss)
             # selection starves exactly the local fc head; anything else
             # missing a gradient is a wiring bug sgd_step will flag
             sgd_step(all_params, lr, allow_gradless=frozen)
-            epoch_loss += loss.item() * idx.size
+            degenerate_batches += degenerate
+            epoch_loss += loss.item() * y.size
             epoch_correct += int((trace.logits.data.argmax(axis=1) == y).sum())
+            epoch_n += y.size
         epochs_run = epoch + 1
-        train_loss = epoch_loss / len(train_set)
-        train_acc = epoch_correct / len(train_set)
+        train_loss = epoch_loss / epoch_n
+        train_acc = epoch_correct / epoch_n
         metrics.append(MetricsRow(epoch, "train", train_loss, train_acc))
         if val_set is not None and len(val_set):
             val_loss, val_acc, _ = evaluate(val_set, params, config,
@@ -176,9 +178,13 @@ def train_dam(train_set: Dataset, val_set: Optional[Dataset], config: DamConfig,
             metrics.append(MetricsRow(epoch, "val", val_loss, val_acc))
             final_val_acc = val_acc
         if log:
-            log(f"epoch {epoch}: lr {lr:.2e} train loss {train_loss:.4f} "
-                f"acc {train_acc:.3f}" + (f" val acc {final_val_acc:.3f}"
-                                          if val_set is not None else ""))
+            msg = (f"epoch {epoch}: lr {lr:.2e} train loss {train_loss:.4f} "
+                   f"acc {train_acc:.3f}")
+            if val_set is not None:
+                msg += f" val acc {final_val_acc:.3f}"
+            if degenerate_batches:
+                msg += f" ({degenerate_batches} degenerate batches)"
+            log(msg)
         if (train_cfg.early_stop_val_acc is not None and val_set is not None
                 and final_val_acc >= train_cfg.early_stop_val_acc):
             stopped = True
@@ -186,6 +192,27 @@ def train_dam(train_set: Dataset, val_set: Optional[Dataset], config: DamConfig,
     return TrainResult(params=params, metrics=metrics,
                        final_val_accuracy=final_val_acc,
                        epochs_run=epochs_run, stopped_early=stopped)
+
+
+def train_dam(train_set: Dataset, val_set: Optional[Dataset], config: DamConfig,
+              train_cfg: TrainConfig = TrainConfig(),
+              params: Optional[DamParams] = None,
+              log: Optional[Callable[[str], None]] = None) -> TrainResult:
+    """Minimize classification cross-entropy; returns params plus per-epoch metrics."""
+    if len(train_set) == 0:
+        raise TrainError("empty training set")
+    warn_if_unbalanced(train_set.entries, "training set")
+
+    def batches(rng):
+        order = rng.permutation(len(train_set))
+        for start in range(0, len(order), train_cfg.batch_size):
+            idx = order[start:start + train_cfg.batch_size]
+            yield train_set.images[idx], train_set.labels[idx]
+
+    def batch_loss(trace, y):
+        return softmax_cross_entropy(trace.logits, y), False
+
+    return train_loop(batches, batch_loss, val_set, config, train_cfg, params, log)
 
 
 def save_metrics_csv(path, metrics: list[MetricsRow]) -> None:

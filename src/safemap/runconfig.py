@@ -55,6 +55,10 @@ class EvalSection:
     split: str = "test"
     batch_size: int = 64
 
+    def __post_init__(self):
+        if self.batch_size < 1:
+            raise RunConfigError(f"batch_size must be at least 1, got {self.batch_size}")
+
 
 @dataclass(frozen=True)
 class CamSection:

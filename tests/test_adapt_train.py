@@ -13,7 +13,13 @@ from safemap.autodiff import Tape, save_checkpoint, softmax_cross_entropy
 from safemap.geo.synth import synth_generate
 from safemap.model import DamConfig, SubregionScheme, init_params
 from safemap.model.network import forward, predict
-from safemap.model.training import Dataset, TrainError, batch_tensor, load_split
+from safemap.model.training import (
+    Dataset,
+    TrainConfig,
+    TrainError,
+    batch_tensor,
+    load_split,
+)
 
 SMALL = DamConfig(input_hw=(64, 64), stage_widths=(4, 6, 8, 10),
                   local_widths=(6, 6), d=8,
@@ -176,6 +182,25 @@ class TestTrainDamDa:
         assert [m.split for m in res.metrics] == ["train", "val", "train", "val"]
         assert all(np.isfinite(m.loss) for m in res.metrics)
 
+    def test_early_stop(self, source_sets, target_sets):
+        sset, sval = source_sets[0], source_sets[1]
+        tset = self._pseudo_target(source_sets, target_sets)
+        res = train_dam_da(sset, tset, sval, SMALL_DA,
+                           DaTrainConfig(epochs=10, batch_size=4, lam=0.1,
+                                         early_stop_val_acc=0.0))
+        assert res.stopped_early
+        assert res.epochs_run == 1
+        assert [m.split for m in res.metrics] == ["train", "val"]
+
+    def test_no_early_stop_without_val_set(self, source_sets, target_sets):
+        sset = source_sets[0]
+        tset = self._pseudo_target(source_sets, target_sets)
+        res = train_dam_da(sset, tset, None, SMALL_DA,
+                           DaTrainConfig(epochs=2, batch_size=4, lam=0.1,
+                                         early_stop_val_acc=0.0))
+        assert not res.stopped_early
+        assert res.epochs_run == 2
+
     def test_same_seed_bit_identical(self, source_sets, target_sets, tmp_path):
         sset = source_sets[0]
         tset = self._pseudo_target(source_sets, target_sets)
@@ -194,6 +219,19 @@ class TestTrainDamDa:
             DaTrainConfig(lam=-1.0)
         with pytest.raises(TrainError):
             DaTrainConfig(batch_size=5)
+
+    def test_config_extends_train_config(self):
+        cfg = DaTrainConfig()
+        assert isinstance(cfg, TrainConfig)
+        assert cfg.batch_size == 16
+        shared = {f: getattr(TrainConfig(), f) for f in TrainConfig.__dataclass_fields__}
+        del shared["batch_size"]
+        assert {f: getattr(cfg, f) for f in shared} == shared
+
+    @pytest.mark.parametrize("value", [0, -4])
+    def test_bad_eval_batch_size_rejected(self, value):
+        with pytest.raises(TrainError, match="eval_batch_size"):
+            DaTrainConfig(eval_batch_size=value)
 
     @pytest.mark.parametrize("field,value", [
         ("lr0", 0.0), ("lr0", -1e-4), ("lr0", float("nan")),

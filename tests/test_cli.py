@@ -1,5 +1,6 @@
 """CLI contract: subcommands, exit codes, run artifacts, determinism."""
 
+import dataclasses
 import json
 import os
 
@@ -7,6 +8,8 @@ import pytest
 
 from safemap.autodiff import save_checkpoint
 from safemap.cli import COMMANDS, EXIT_DATA, EXIT_OK, EXIT_USAGE, build_parser, main
+from safemap.geo.grid import GridSpec
+from safemap.geo.manifest import load_manifest, save_manifest
 from safemap.model.config import DamConfig
 from safemap.model.network import init_params
 
@@ -14,6 +17,8 @@ from oracles import kmeans2_best_split
 
 SMALL_MODEL = {"stage_widths": [4, 6, 8, 10], "local_widths": [6, 6], "d": 8,
                "schemes": [{"kind": "SQ", "count": 4, "pooled": [7, 7]}]}
+SMALL_DA_MODEL = dict(SMALL_MODEL, da_mode=True, da_reduce_widths=[8, 6],
+                      da_local_widths=[6, 6])
 
 ACCIDENTS_CSV = """id,date,time,day_of_week,latitude,longitude,vehicles,casualties
 A1,03/01/2019,08:30,4,51.5000,-0.1200,2,1
@@ -104,6 +109,26 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert f"section '{section}'" in err and key in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("section,key,value", [
+        ("train", "eval_batch_size", 0), ("train", "eval_batch_size", -4),
+        ("da", "eval_batch_size", 0), ("eval", "batch_size", 0), ("eval", "batch_size", -4),
+    ])
+    def test_bad_eval_batch_size_is_usage_error(self, tmp_path, capsys, section, key,
+                                                value):
+        # these used to crash mid-run or score uninitialized predictions
+        cfg = write_config(tmp_path / "c.json", {section: {key: value},
+                                                 "paths": {"run_dir": str(tmp_path / "run")}})
+        assert main(["eval", "--config", cfg]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"section '{section}'" in err and key in err
+        assert "Traceback" not in err
+
+    def test_removed_roi_stage_key_rejected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.json", {"model": {"roi_stage": 2},
+                                                 "paths": {"run_dir": str(tmp_path / "run")}})
+        assert main(["train", "--config", cfg]) == EXIT_USAGE
+        assert "roi_stage" in capsys.readouterr().err
 
     def test_missing_input_file_is_data_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.json",
@@ -272,3 +297,67 @@ class TestTraining:
         capsys.readouterr()
         assert (cam_run / "cam.pgm").read_bytes().startswith(b"P5\n64 64\n255\n")
         assert_no_orphans(cam_run)
+
+    def test_adaptation_chain(self, synth_run, tmp_path, capsys):
+        """synth target -> train -> pseudo-label -> train-da -> eval -> map-export."""
+        def run(sub, name, doc):
+            run_dir = tmp_path / name
+            doc = dict(doc, paths=dict(doc["paths"], run_dir=str(run_dir)))
+            code = main([sub, "--config", write_config(tmp_path / f"{name}.json", doc)])
+            assert code == EXIT_OK, capsys.readouterr().err
+            assert_no_orphans(run_dir)
+            return run_dir
+
+        target = run("synth", "target", {
+            "synth": {"n_per_class": 6, "seed": 4, "domain_style": "target"},
+            "paths": {}}) / "synth"
+        source_paths = {"manifest": str(synth_run / "manifest.jsonl"),
+                        "image_root": str(synth_run)}
+        train = run("train", "train", {"model": SMALL_DA_MODEL, "train": {"epochs": 1},
+                                       "paths": source_paths})
+        pseudo = run("pseudo-label", "pseudo", {"model": SMALL_DA_MODEL, "paths": {
+            "target_manifest": str(target / "manifest.jsonl"),
+            "target_image_root": str(target),
+            "checkpoint": str(train / "checkpoint.ckpt")}})
+        da_doc = {"model": SMALL_DA_MODEL,
+                  "da": {"epochs": 2, "batch_size": 4, "lam": 0.1, "seed": 5},
+                  "paths": dict(source_paths,
+                                target_manifest=str(pseudo / "manifest.pseudo.jsonl"),
+                                target_image_root=str(target),
+                                val_manifest=str(target / "manifest.jsonl"),
+                                checkpoint=str(train / "checkpoint.ckpt"))}
+        adapted = run("train-da", "da_a", da_doc)
+        rerun = run("train-da", "da_b", da_doc)
+        assert (adapted / "metrics.csv").read_bytes() == (rerun / "metrics.csv").read_bytes()
+        assert len((adapted / "metrics.csv").read_text().splitlines()) == 1 + 2 * 2
+        target_paths = {"manifest": str(target / "manifest.jsonl"),
+                        "image_root": str(target),
+                        "checkpoint": str(adapted / "checkpoint.ckpt")}
+        evaluated = run("eval", "eval", {"model": SMALL_DA_MODEL, "paths": target_paths})
+        assert json.loads((evaluated / "eval.json").read_text())["split"] == "test"
+
+        # synth gives image i the cell (i, 0): one row of 12 cells
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps(GridSpec(origin_lat=51.5, origin_lon=-0.12,
+                                            cell_size_m=30.0, columns=12, rows=1,
+                                            ref_lat=51.5).to_dict()))
+        exported = run("map-export", "map", {
+            "model": SMALL_DA_MODEL, "eval": {"batch_size": 5},
+            "paths": dict(target_paths, grid_json=str(grid))})
+        assert len((exported / "safety_map.csv").read_text().splitlines()) == 1 + 12
+        assert sum(json.loads((exported / "map_report.json").read_text()).values()) == 12
+
+        manifest = load_manifest(target / "manifest.jsonl")
+        entries = list(manifest.entries)
+        entries[3] = dataclasses.replace(entries[3], cell=entries[7].cell)
+        dup = tmp_path / "dup.jsonl"
+        save_manifest(dup, dataclasses.replace(manifest, entries=entries))
+        dup_cfg = write_config(tmp_path / "dup.json", {
+            "model": SMALL_DA_MODEL,
+            "paths": dict(target_paths, grid_json=str(grid), manifest=str(dup),
+                          run_dir=str(tmp_path / "dup"))})
+        assert main(["map-export", "--config", dup_cfg]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"cell {entries[7].cell}" in err
+        assert "Traceback" not in err
+        assert_no_orphans(tmp_path / "dup")

@@ -53,6 +53,12 @@ class TestDefaults:
         with pytest.raises(TrainError):
             TrainConfig(lr0=0.0)
 
+    @pytest.mark.parametrize("value", [0, -4])
+    def test_bad_eval_batch_size_rejected(self, value):
+        # 0 used to fail after the first epoch, a negative size to score garbage
+        with pytest.raises(TrainError, match="eval_batch_size"):
+            TrainConfig(eval_batch_size=value)
+
     @pytest.mark.parametrize("field,value", [
         ("lr0", -1e-4), ("lr0", float("nan")), ("lr0", float("inf")),
         ("lr_decay", 0.0), ("lr_decay", -0.5), ("lr_decay", float("nan")),
