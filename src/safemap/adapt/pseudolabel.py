@@ -2,15 +2,16 @@
 
 import dataclasses
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from ..geo.manifest import DatasetManifest
-from ..geo.ppm import read_ppm
 from ..model.config import DamConfig
 from ..model.network import DamParams, predict
-from ..model.training import TrainError, batch_tensor
+from ..model.training import TrainError, batch_tensor, load_split
+
+# Not called in this module, but the traced benchmark (bench/layers.py TARGETS) wraps it here.
+from ..geo.ppm import read_ppm  # noqa: F401
 
 
 @dataclass
@@ -33,20 +34,17 @@ def pseudo_label(manifest: DatasetManifest, image_root, params: DamParams,
     """Relabel every entry with the model's prediction and flag it pseudo."""
     if not manifest.entries:
         raise TrainError("cannot pseudo-label an empty manifest")
-    root = Path(image_root)
-    imgs = np.stack([read_ppm(root / e.image).transpose(2, 0, 1)
-                     for e in manifest.entries])
+    dataset = load_split(manifest, image_root)
     preds = np.empty(len(manifest.entries), dtype=np.int64)
     for start in range(0, len(preds), batch_size):
         sl = slice(start, min(start + batch_size, len(preds)))
-        labels, _ = predict(batch_tensor(imgs[sl]), params, config)
+        labels, _ = predict(batch_tensor(dataset.images[sl]), params, config)
         preds[sl] = labels
     entries = [dataclasses.replace(e, label=int(p), pseudo=True)
                for e, p in zip(manifest.entries, preds)]
-    old = np.array([e.label for e in manifest.entries], dtype=np.int64)
     report = PseudoLabelReport(
         total=len(entries),
-        agreement=float((preds == old).mean()),
+        agreement=float((preds == dataset.labels).mean()),
         class_counts={int(k): int(v) for k, v in
                       zip(*np.unique(preds, return_counts=True))},
     )

@@ -11,6 +11,7 @@ classification training on the combined batch.
 to the shared epoch loop, ``model.training.train_loop``.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -46,8 +47,8 @@ class DaTrainConfig(TrainConfig):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.lam < 0:
-            raise TrainError(f"lam must be >= 0, got {self.lam}")
+        if not 0 <= self.lam < math.inf:
+            raise TrainError(f"lam must be non-negative and finite, got {self.lam}")
         if self.batch_size % 2:
             raise TrainError(f"batch_size must be even and >= 2, got {self.batch_size}")
 

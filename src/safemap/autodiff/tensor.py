@@ -70,9 +70,6 @@ class Tensor:
             raise ShapeError(f"item() on tensor of shape {self.shape}")
         return float(self.data.reshape(()))
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data, requires_grad=False, name=self.name)
-
     def zero_grad(self) -> None:
         self.grad = None
 

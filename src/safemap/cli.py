@@ -43,7 +43,7 @@ from .autodiff import (
     save_checkpoint,
 )
 from .geo.grid import GridError, GridSpec, build_grid, score_cells
-from .geo.labeling import LabelingConfig, LabelingError, kmeans_bin
+from .geo.labeling import LabelingError, kmeans_bin
 from .geo.manifest import (
     DANGEROUS,
     ManifestError,
@@ -198,8 +198,7 @@ def _read_scores(path) -> list[tuple[int, int, int]]:
 
 def cmd_label(cfg: RunConfig, run: RunDir) -> None:
     rows = _read_scores(_require(cfg.paths.scores_csv, "scores_csv"))
-    result = kmeans_bin([s for _, _, s in rows],
-                        LabelingConfig(seed=cfg.pipeline.seed))
+    result = kmeans_bin([s for _, _, s in rows])
     with open(run.path("labels.csv"), "w", encoding="utf-8", newline="") as f:
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow(["col", "row", "score", "label"])
@@ -338,9 +337,15 @@ def cmd_cam(cfg: RunConfig, run: RunDir) -> None:
                     "constant": result.constant})
 
 
+def _read_grid(path) -> GridSpec:
+    try:
+        return GridSpec.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    except (ValueError, GridError) as e:  # bad JSON, not UTF-8, malformed spec
+        raise GridError(f"{path}: {e}") from e
+
+
 def cmd_map_export(cfg: RunConfig, run: RunDir) -> None:
-    spec = GridSpec.from_dict(json.loads(
-        Path(_require(cfg.paths.grid_json, "grid_json")).read_text(encoding="utf-8")))
+    spec = _read_grid(_require(cfg.paths.grid_json, "grid_json"))
     manifest = load_manifest(_require(cfg.paths.manifest, "manifest"))
     root = _require(cfg.paths.image_root, "image_root")
     dataset = load_split(manifest, root)

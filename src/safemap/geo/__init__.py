@@ -1,7 +1,7 @@
 """Geospatial pipeline: ingestion, gridding, labeling, manifests, synthesis."""
 
-from .grid import Cell, GridError, GridSpec, ScoredGrid, build_grid, score_cells
-from .labeling import BinResult, LabelingConfig, LabelingError, kmeans_bin
+from .grid import GridError, GridSpec, ScoredGrid, build_grid, score_cells
+from .labeling import BinResult, LabelingError, kmeans_bin
 from .manifest import (
     DANGEROUS,
     SAFE,
@@ -16,24 +16,19 @@ from .manifest import (
 from .ppm import PpmError, read_pgm, read_ppm, write_pgm, write_ppm
 from .records import AccidentRecord, IngestError, IngestResult, ingest_accidents
 from .synth import SynthError, SynthImageMeta, SynthResult, load_synth_meta, synth_generate
-from .tiles import KEY_ENV_VAR, MissingKeyError, tile_cache_path, tile_url
 
 __all__ = [
     "AccidentRecord",
     "BinResult",
-    "Cell",
     "DANGEROUS",
     "DatasetManifest",
     "GridError",
     "GridSpec",
     "IngestError",
     "IngestResult",
-    "KEY_ENV_VAR",
-    "LabelingConfig",
     "LabelingError",
     "ManifestEntry",
     "ManifestError",
-    "MissingKeyError",
     "PpmError",
     "SAFE",
     "ScoredGrid",
@@ -52,8 +47,6 @@ __all__ = [
     "save_manifest",
     "score_cells",
     "synth_generate",
-    "tile_cache_path",
-    "tile_url",
     "write_pgm",
     "write_ppm",
 ]

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -41,10 +41,15 @@ class GridSpec:
     earth_radius_m: float = EARTH_RADIUS_M
 
     def __post_init__(self):
-        if self.cell_size_m <= 0:
-            raise GridError(f"cell_size_m must be positive, got {self.cell_size_m}")
+        for name in ("cell_size_m", "earth_radius_m"):
+            if not getattr(self, name) > 0:
+                raise GridError(f"{name} must be positive, got {getattr(self, name)}")
         if self.columns < 1 or self.rows < 1:
             raise GridError(f"grid extents must be positive, got {self.columns}x{self.rows}")
+        if self.columns * self.rows > MAX_CELLS:
+            raise GridError(
+                f"grid of {self.columns}x{self.rows} cells exceeds the {MAX_CELLS} cell "
+                f"guard; increase cell_size_m or split the study area")
 
     @property
     def _meters_per_deg_lat(self) -> float:
@@ -81,26 +86,18 @@ class GridSpec:
         }
 
     @classmethod
-    def from_dict(cls, d: dict) -> "GridSpec":
-        return cls(**d)
-
-
-@dataclass
-class Cell:
-    """One grid cell with its accident count and (after binning) a label."""
-
-    col: int
-    row: int
-    center_lat: float
-    center_lon: float
-    safety_score: int
-    label: Optional[str] = None  # "safe" | "dangerous"
-
-    def __post_init__(self):
-        if self.safety_score < 0:
-            raise GridError(f"safety score must be non-negative, got {self.safety_score}")
-        if self.label not in (None, "safe", "dangerous"):
-            raise GridError(f"unknown label {self.label!r}")
+    def from_dict(cls, d) -> "GridSpec":
+        """Parse a ``to_dict`` object; anything malformed raises GridError."""
+        if not isinstance(d, dict):
+            raise GridError(f"grid spec must be a JSON object, got {type(d).__name__}")
+        try:
+            for key, value in d.items():
+                kind = int if key in ("columns", "rows") else (int, float)
+                if not isinstance(value, kind) or not math.isfinite(value):
+                    raise GridError(f"grid spec {key!r} must be a finite number, got {value!r}")
+            return cls(**d)
+        except (TypeError, OverflowError) as e:  # missing or unknown keys, huge ints
+            raise GridError(f"malformed grid spec: {e}") from e
 
 
 def build_grid(records: Sequence[AccidentRecord],
@@ -112,8 +109,6 @@ def build_grid(records: Sequence[AccidentRecord],
     """
     if not records:
         raise GridError("build_grid needs at least one record")
-    if cell_size_m <= 0:
-        raise GridError(f"cell_size_m must be positive, got {cell_size_m}")
     lats = [r.latitude for r in records]
     lons = [r.longitude for r in records]
     lat0 = (min(lats) + max(lats)) / 2.0
@@ -132,14 +127,9 @@ def build_grid(records: Sequence[AccidentRecord],
     # round-trip error; clamp at zero, which the floor convention permits
     # only for the true boundary point.
     cells = [(max(c, 0), max(r, 0)) for c, r in cells]
-    columns = max(c for c, _ in cells) + 1
-    rows = max(r for _, r in cells) + 1
-    if columns * rows > MAX_CELLS:
-        raise GridError(
-            f"grid of {columns}x{rows} cells exceeds the {MAX_CELLS} cell guard; "
-            f"increase cell_size_m or split the study area")
-    spec = GridSpec(origin_lat=origin_lat, origin_lon=origin_lon,
-                    cell_size_m=cell_size_m, columns=columns, rows=rows, ref_lat=lat0)
+    spec = GridSpec(origin_lat=origin_lat, origin_lon=origin_lon, cell_size_m=cell_size_m,
+                    columns=max(c for c, _ in cells) + 1, rows=max(r for _, r in cells) + 1,
+                    ref_lat=lat0)
     return spec, cells
 
 
@@ -159,15 +149,6 @@ class ScoredGrid:
 
     def score(self, col: int, row: int) -> int:
         return int(self.counts[row, col])
-
-    def cells(self, labels: Optional[dict[tuple[int, int], str]] = None) -> Iterator[Cell]:
-        """Iterate all cells in row-major (row, then col) order."""
-        for row in range(self.spec.rows):
-            for col in range(self.spec.columns):
-                lat, lon = self.spec.cell_center(col, row)
-                label = labels.get((col, row)) if labels else None
-                yield Cell(col=col, row=row, center_lat=lat, center_lon=lon,
-                           safety_score=int(self.counts[row, col]), label=label)
 
 
 def score_cells(spec: GridSpec, record_cells: Sequence[tuple[int, int]]) -> ScoredGrid:

@@ -3,10 +3,8 @@
 Lloyd iterations with centroids initialized at the score minimum and
 maximum, followed by an exhaustive interval-split polish that guarantees
 the returned partition is the global 2-means optimum (Lloyd alone can
-stall in a local optimum on heavy-tailed distributions).  Everything is
-deterministic, so the config seed exists only for interface uniformity
-with the other pipeline stages.  The cluster whose centroid is higher is
-the dangerous one.
+stall in a local optimum on heavy-tailed distributions).  The cluster
+whose centroid is higher is the dangerous one.
 """
 
 from __future__ import annotations
@@ -16,22 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# Lloyd iterations before the exhaustive polish takes over
+MAX_ITERATIONS = 100
+
 
 class LabelingError(Exception):
-    """Invalid clustering configuration or input."""
-
-
-@dataclass(frozen=True)
-class LabelingConfig:
-    k: int = 2
-    max_iterations: int = 100
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.k != 2:
-            raise LabelingError(f"only k=2 binning is supported, got k={self.k}")
-        if self.max_iterations < 1:
-            raise LabelingError("max_iterations must be at least 1")
+    """Invalid clustering input."""
 
 
 @dataclass
@@ -43,7 +31,7 @@ class BinResult:
     degenerate: bool = False
 
 
-def kmeans_bin(scores, config: LabelingConfig = LabelingConfig()) -> BinResult:
+def kmeans_bin(scores) -> BinResult:
     """Bin scores into safe/dangerous clusters.
 
     Ties in point assignment go to the lower centroid.  All-identical
@@ -61,7 +49,7 @@ def kmeans_bin(scores, config: LabelingConfig = LabelingConfig()) -> BinResult:
                          centroids=(lo, hi), degenerate=True)
     c_low, c_high = lo, hi
     assign: np.ndarray | None = None
-    for _ in range(config.max_iterations):
+    for _ in range(MAX_ITERATIONS):
         # tie (equidistant point) goes to the lower centroid
         new_assign = (np.abs(s - c_high) < np.abs(s - c_low)).astype(np.int64)
         if assign is not None and np.array_equal(new_assign, assign):

@@ -39,6 +39,8 @@ class ManifestEntry:
     pseudo: bool = False
 
     def __post_init__(self):
+        if not isinstance(self.image, str):
+            raise ManifestError(f"image must be a path string, got {self.image!r}")
         if self.label not in (SAFE, DANGEROUS):
             raise ManifestError(f"label must be 0 (safe) or 1 (dangerous), got {self.label}")
         if self.domain not in DOMAINS:
@@ -54,7 +56,9 @@ class ManifestEntry:
         return obj
 
     @classmethod
-    def from_json_obj(cls, obj: dict) -> "ManifestEntry":
+    def from_json_obj(cls, obj) -> "ManifestEntry":
+        if not isinstance(obj, dict):
+            raise ManifestError(f"entry must be a JSON object, got {obj!r}")
         known = {"image", "label", "domain", "cell", "split", "pseudo"}
         extra = set(obj) - known
         if extra:
@@ -64,7 +68,7 @@ class ManifestEntry:
             return cls(image=obj["image"], label=obj["label"], domain=obj["domain"],
                        cell=(int(cell[0]), int(cell[1])), split=obj["split"],
                        pseudo=bool(obj.get("pseudo", False)))
-        except (KeyError, IndexError, TypeError) as e:
+        except (KeyError, IndexError, TypeError, ValueError, OverflowError) as e:
             raise ManifestError(f"malformed entry {obj!r}: {e}") from e
 
 
@@ -111,14 +115,19 @@ def save_manifest(path, manifest: DatasetManifest) -> None:
 
 
 def load_manifest(path) -> DatasetManifest:
-    with open(path, "r", encoding="utf-8") as f:
-        lines = [ln for ln in (raw.strip() for raw in f) if ln]
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            lines = [ln for ln in (raw.strip() for raw in f) if ln]
+    except UnicodeDecodeError as e:
+        raise ManifestError(f"{path}: not UTF-8 text: {e}") from e
     if not lines:
         raise ManifestError(f"{path}: empty manifest")
     try:
         header = json.loads(lines[0])
     except json.JSONDecodeError as e:
         raise ManifestError(f"{path}: bad header line: {e}") from e
+    if not isinstance(header, dict):
+        raise ManifestError(f"{path}: not a dataset manifest (header {lines[0][:40]!r})")
     if header.get("kind") != MANIFEST_KIND:
         raise ManifestError(f"{path}: not a dataset manifest (kind={header.get('kind')!r})")
     if header.get("version") != MANIFEST_VERSION:
@@ -129,8 +138,13 @@ def load_manifest(path) -> DatasetManifest:
             entries.append(ManifestEntry.from_json_obj(json.loads(ln)))
         except json.JSONDecodeError as e:
             raise ManifestError(f"{path}:{i}: bad JSON: {e}") from e
-    return DatasetManifest(seed=int(header.get("seed", 0)),
-                           generator=str(header.get("generator", "unknown")),
+        except ManifestError as e:
+            raise ManifestError(f"{path}:{i}: {e}") from e
+    try:
+        seed = int(header.get("seed", 0))
+    except (TypeError, ValueError, OverflowError) as e:
+        raise ManifestError(f"{path}: bad seed {header.get('seed')!r}") from e
+    return DatasetManifest(seed=seed, generator=str(header.get("generator", "unknown")),
                            entries=entries)
 
 

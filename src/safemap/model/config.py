@@ -10,6 +10,10 @@ output so the two concatenate cleanly.
 
 With 64x64 inputs and the default strides (2,1,2,2) / pads (0,1,0,0) the
 stage spatial sizes run 64 -> 31 -> 31 -> 15 -> 7.
+
+The input and output widths are fixed by the pipeline rather than
+configured: ``IN_CHANNELS`` = 3 because every tile is an RGB PPM, and
+``NUM_CLASSES`` = 2 because cells are labeled safe (0) or dangerous (1).
 """
 
 from __future__ import annotations
@@ -18,6 +22,8 @@ import math
 from dataclasses import dataclass, field, asdict
 
 SCHEME_KINDS = ("HS", "VS", "SQ")
+IN_CHANNELS = 3
+NUM_CLASSES = 2
 
 
 class ConfigError(Exception):
@@ -67,14 +73,12 @@ class DamConfig:
     """Hyperparameters fixing every parameter shape of the model."""
 
     input_hw: tuple[int, int] = (64, 64)
-    in_channels: int = 3
     stage_widths: tuple[int, int, int, int] = (8, 16, 32, 64)
     stage_strides: tuple[int, int, int, int] = (2, 1, 2, 2)
     stage_pads: tuple[int, int, int, int] = (0, 1, 0, 0)
     local_widths: tuple[int, int] = (16, 16)
     schemes: tuple[SubregionScheme, ...] = field(default_factory=default_schemes)
     d: int = 32
-    num_classes: int = 2
     use_local: bool = True
     da_mode: bool = False
     # 1x1 dimension-reduction convs appended after fusion in da_mode
@@ -85,8 +89,6 @@ class DamConfig:
     def __post_init__(self):
         if self.d < 2:
             raise ConfigError(f"feature dimension d must be at least 2, got {self.d}")
-        if self.num_classes != 2:
-            raise ConfigError(f"only 2-class models are supported, got {self.num_classes}")
         for name, widths in (("stage_widths", self.stage_widths),
                              ("local_widths", self.local_widths),
                              ("da_reduce_widths", self.da_reduce_widths),
@@ -104,17 +106,6 @@ class DamConfig:
     @property
     def active_local_widths(self) -> tuple[int, int]:
         return self.da_local_widths if self.da_mode else self.local_widths
-
-    def stage_hw(self, stage: int) -> tuple[int, int]:
-        """Spatial size of the given stage's output (1-based; 0 = input)."""
-        h, w = self.input_hw
-        for i in range(stage):
-            k, s, p = 3, self.stage_strides[i], self.stage_pads[i]
-            h = (h + 2 * p - k) // s + 1
-            w = (w + 2 * p - k) // s + 1
-            if h < 1 or w < 1:
-                raise ConfigError(f"stage {i + 1} collapses spatial size to {h}x{w}")
-        return h, w
 
     @property
     def fused_channels(self) -> int:

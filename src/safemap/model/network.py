@@ -42,7 +42,7 @@ from ..autodiff import (
     softmax,
 )
 from ..autodiff.nn_ops import _bin_edges
-from .config import ConfigError, DamConfig, SubregionScheme
+from .config import IN_CHANNELS, NUM_CLASSES, ConfigError, DamConfig, SubregionScheme
 
 
 class DamParams:
@@ -67,9 +67,6 @@ class DamParams:
     def all(self) -> list[Tensor]:
         return list(self._params.values())
 
-    def names(self) -> list[str]:
-        return list(self._params.keys())
-
     def expected_gradless(self, config: DamConfig) -> list[Tensor]:
         """Parameters the hard selection legitimately starves of gradient."""
         if not config.use_local:
@@ -91,7 +88,7 @@ def init_params(config: DamConfig, seed: int = 0) -> DamParams:
     """He-normal weights, zero biases, in a fixed deterministic order."""
     rng = np.random.default_rng([seed, 0])
     p = DamParams()
-    cin = config.in_channels
+    cin = IN_CHANNELS
     for i, width in enumerate(config.stage_widths, start=1):
         p.add(f"stage{i}.down.weight", _he_conv(rng, width, cin, 3))
         p.add(f"stage{i}.down.bias", np.zeros(width))
@@ -106,8 +103,8 @@ def init_params(config: DamConfig, seed: int = 0) -> DamParams:
         p.add("local.conv1.bias", np.zeros(l1))
         p.add("local.conv2.weight", _he_conv(rng, l2, l1, 3))
         p.add("local.conv2.bias", np.zeros(l2))
-        p.add("local.fc.weight", _he_linear(rng, config.num_classes, l2))
-        p.add("local.fc.bias", np.zeros(config.num_classes))
+        p.add("local.fc.weight", _he_linear(rng, NUM_CLASSES, l2))
+        p.add("local.fc.bias", np.zeros(NUM_CLASSES))
     if config.da_mode:
         r1, r2 = config.da_reduce_widths
         p.add("da.reduce1.weight", _he_conv(rng, r1, config.fused_channels, 1))
@@ -116,8 +113,8 @@ def init_params(config: DamConfig, seed: int = 0) -> DamParams:
         p.add("da.reduce2.bias", np.zeros(r2))
     p.add("head.fc.weight", _he_linear(rng, config.d, config.head_in_channels))
     p.add("head.fc.bias", np.zeros(config.d))
-    p.add("head.classifier.weight", _he_linear(rng, config.num_classes, config.d))
-    p.add("head.classifier.bias", np.zeros(config.num_classes))
+    p.add("head.classifier.weight", _he_linear(rng, NUM_CLASSES, config.d))
+    p.add("head.classifier.bias", np.zeros(NUM_CLASSES))
     return p
 
 
@@ -217,9 +214,9 @@ class ForwardTrace:
 
 
 def forward(images: Tensor, params: DamParams, config: DamConfig) -> ForwardTrace:
-    if images.shape[1:] != (config.in_channels, *config.input_hw):
+    if images.shape[1:] != (IN_CHANNELS, *config.input_hw):
         raise ConfigError(f"input shape {images.shape[1:]} does not match config "
-                          f"{(config.in_channels, *config.input_hw)}")
+                          f"{(IN_CHANNELS, *config.input_hw)}")
     h = images
     for i in range(1, 5):
         h = _stage(h, params, i, config.stage_strides[i - 1], config.stage_pads[i - 1])

@@ -14,7 +14,7 @@ SAFE_RGB = (60, 160, 70)
 
 
 class ExportError(ValueError):
-    """Raised when predictions do not cover the grid."""
+    """Raised when predictions do not match the grid cell for cell."""
 
 
 @dataclass(frozen=True)
@@ -33,13 +33,17 @@ def safety_map_export(grid: GridSpec, predictions: dict, csv_path, ppm_path) -> 
     """Write the per-cell table and the raster.
 
     predictions maps (col, row) to CellPrediction and must cover every
-    cell. The raster puts grid row 0 (the southern edge, nearest the
+    cell and no cell outside the grid. The raster puts grid row 0 (the southern edge, nearest the
     origin) at the bottom, so image row 0 is the northern edge.
     """
     missing = [(c, r) for r in range(grid.rows) for c in range(grid.columns)
                if (c, r) not in predictions]
     if missing:
         raise ExportError(f"{len(missing)} cells lack predictions, first {missing[0]}")
+    for col, row in predictions:
+        if not (0 <= col < grid.columns and 0 <= row < grid.rows):
+            raise ExportError(f"prediction for cell {(col, row)} outside the "
+                              f"{grid.columns}x{grid.rows} grid")
     with open(csv_path, "w", encoding="utf-8", newline="") as f:
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow(["col", "row", "center_lat", "center_lon",

@@ -220,6 +220,11 @@ class TestTrainDamDa:
         with pytest.raises(TrainError):
             DaTrainConfig(batch_size=5)
 
+    @pytest.mark.parametrize("lam", [float("nan"), float("inf")])
+    def test_non_finite_lam_rejected(self, lam):
+        with pytest.raises(TrainError, match="lam must be non-negative and finite"):
+            DaTrainConfig(lam=lam)
+
     def test_config_extends_train_config(self):
         cfg = DaTrainConfig()
         assert isinstance(cfg, TrainConfig)

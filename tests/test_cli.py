@@ -130,6 +130,22 @@ class TestConfigErrors:
         assert main(["train", "--config", cfg]) == EXIT_USAGE
         assert "roi_stage" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["num_classes", "in_channels"])
+    def test_removed_model_width_keys_rejected(self, tmp_path, capsys, key):
+        cfg = write_config(tmp_path / "c.json", {"model": {key: 2},
+                                                 "paths": {"run_dir": str(tmp_path / "run")}})
+        assert main(["train", "--config", cfg]) == EXIT_USAGE
+        assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("lam", [float("nan"), float("inf")])
+    def test_non_finite_lam_is_usage_error(self, tmp_path, capsys, lam):
+        cfg = write_config(tmp_path / "c.json", {"da": {"lam": lam},
+                                                 "paths": {"run_dir": str(tmp_path / "run")}})
+        assert main(["train-da", "--config", cfg]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "section 'da'" in err and "lam" in err
+        assert "Traceback" not in err
+
     def test_missing_input_file_is_data_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.json",
                            {"paths": {"run_dir": str(tmp_path / "run"),
@@ -187,6 +203,37 @@ class TestPipeline:
         report = json.loads((run / "balance_report.json").read_text())
         assert report["before"] == [3, 6]
         assert report["after"] == [3, 3]
+
+
+MANIFEST_HEADER = b'{"generator":"t","kind":"safemap-manifest","seed":0,"version":1}\n'
+
+
+class TestMalformedInputs:
+    @pytest.mark.parametrize("sub,key,content", [
+        ("map-export", "grid_json", b"{not json"),
+        ("map-export", "grid_json", b"\xff\xfe{}"),
+        ("map-export", "grid_json", b"[1, 2]"),
+        ("map-export", "grid_json", b'{"columns": 2, "rows": 1}'),
+        ("map-export", "grid_json", b'{"origin_lat": 0, "origin_lon": 0, "cell_size_m": "x",'
+                                    b' "columns": 2, "rows": 1, "ref_lat": 0}'),
+        ("balance", "manifest", b"[1, 2]\n"),
+        ("balance", "manifest", MANIFEST_HEADER + b"5\n"),
+        ("balance", "manifest", MANIFEST_HEADER + b'{"cell":[0,0],"domain":"source",'
+                                b'"image":[1],"label":0,"split":"train"}\n'),
+        ("balance", "manifest", MANIFEST_HEADER + b'{"cell":["a",0],"domain":"source",'
+                                b'"image":"a.ppm","label":0,"split":"train"}\n'),
+        ("balance", "manifest", b"\xff\xfe\n"),
+        ("balance", "manifest", MANIFEST_HEADER.replace(b'"seed":0', b'"seed":"abc"')),
+    ])
+    def test_malformed_input_is_data_error(self, tmp_path, capsys, sub, key, content):
+        bad = tmp_path / "input"
+        bad.write_bytes(content)
+        cfg = write_config(tmp_path / "c.json",
+                           {"paths": {"run_dir": str(tmp_path / "run"), key: str(bad)}})
+        assert main([sub, "--config", cfg]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert str(bad) in err
+        assert "Traceback" not in err
 
 
 @pytest.fixture(scope="module")
@@ -361,3 +408,23 @@ class TestTraining:
         assert f"cell {entries[7].cell}" in err
         assert "Traceback" not in err
         assert_no_orphans(tmp_path / "dup")
+
+    def test_cell_outside_grid_is_data_error(self, synth_run, tmp_path, capsys):
+        ckpt = tmp_path / "init.ckpt"
+        save_checkpoint(ckpt, init_params(DamConfig.from_dict(SMALL_MODEL), seed=0).all(),
+                        {"epoch": 0})
+        # synth gives image i the cell (i, 0): 24 cells, one past this 23x1 grid
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps(GridSpec(origin_lat=51.5, origin_lon=-0.12,
+                                            cell_size_m=30.0, columns=23, rows=1,
+                                            ref_lat=51.5).to_dict()))
+        cfg = write_config(tmp_path / "map.json", {
+            "model": SMALL_MODEL,
+            "paths": {"run_dir": str(tmp_path / "map"), "grid_json": str(grid),
+                      "manifest": str(synth_run / "manifest.jsonl"),
+                      "image_root": str(synth_run), "checkpoint": str(ckpt)}})
+        assert main(["map-export", "--config", cfg]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "cell (23, 0) outside the 23x1 grid" in err
+        assert "Traceback" not in err
+        assert run_files(tmp_path / "map") == ["config.resolved.json", "run_manifest.json"]

@@ -1,5 +1,7 @@
 """Safety-map export: CSV table and raster orientation contracts."""
 
+import re
+
 import pytest
 
 from safemap.geo.grid import GridSpec
@@ -87,3 +89,13 @@ class TestValidation:
             CellPrediction(label=2, prob_dangerous=0.5)
         with pytest.raises(ExportError):
             CellPrediction(label=SAFE, prob_dangerous=1.5)
+
+    @pytest.mark.parametrize("cell", [(5, 0), (-1, 0)])
+    def test_cell_outside_grid_rejected(self, tmp_path, cell):
+        grid = GridSpec(origin_lat=37.0, origin_lon=-122.0, cell_size_m=100.0,
+                        columns=2, rows=1, ref_lat=37.0)
+        preds = full_predictions(grid)
+        preds[cell] = CellPrediction(DANGEROUS, 0.9)
+        with pytest.raises(ExportError, match=re.escape(f"cell {cell} outside the 2x1 grid")):
+            safety_map_export(grid, preds, tmp_path / "m.csv", tmp_path / "m.ppm")
+        assert not (tmp_path / "m.csv").exists() and not (tmp_path / "m.ppm").exists()

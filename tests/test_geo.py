@@ -1,4 +1,4 @@
-"""Ingestion, gridding, scoring, pixmap IO, and tile URLs."""
+"""Ingestion, gridding, scoring, and pixmap IO."""
 
 import io
 import math
@@ -7,18 +7,14 @@ import numpy as np
 import pytest
 
 from safemap.geo import (
-    Cell,
     GridError,
     GridSpec,
     IngestError,
-    MissingKeyError,
     build_grid,
     ingest_accidents,
     read_pgm,
     read_ppm,
     score_cells,
-    tile_cache_path,
-    tile_url,
     write_pgm,
     write_ppm,
 )
@@ -157,14 +153,6 @@ class TestScoreCells:
                 recount = sum(1 for c in cells if c == (col, row))
                 assert scored.score(col, row) == recount
 
-    def test_zero_cells_included_in_iteration(self):
-        recs = [make_record(0.0, 0.0, "a"), make_record(0.001, 0.001, "b")]
-        spec, cells = build_grid(recs, cell_size_m=30)
-        all_cells = list(score_cells(spec, cells).cells())
-        assert len(all_cells) == spec.columns * spec.rows
-        assert sum(c.safety_score for c in all_cells) == 2
-        assert any(c.safety_score == 0 for c in all_cells)
-
 
 class TestPixmaps:
     def test_ppm_roundtrip(self, tmp_path):
@@ -190,30 +178,3 @@ class TestPixmaps:
         p = tmp_path / "c.ppm"
         p.write_bytes(b"P6\n# a comment\n2 1\n255\n" + bytes(6))
         assert read_ppm(p).shape == (1, 2, 3)
-
-
-class TestTiles:
-    CELL = Cell(col=3, row=4, center_lat=51.5847, center_lon=0.2793, safety_score=0)
-
-    def test_url_contains_center_and_maptype(self):
-        url = tile_url(self.CELL, zoom=19, size_px=400, key_source={"STATIC_MAPS_KEY": "k123"})
-        assert "center=51.584700,0.279300" in url
-        assert "maptype=satellite" in url
-        assert "size=400x400" in url
-        assert "zoom=19" in url
-        assert url.endswith("key=k123")
-
-    def test_missing_key_names_env_var(self):
-        with pytest.raises(MissingKeyError, match="STATIC_MAPS_KEY"):
-            tile_url(self.CELL, key_source={})
-
-    def test_deterministic(self):
-        src = {"STATIC_MAPS_KEY": "abc"}
-        assert tile_url(self.CELL, key_source=src) == tile_url(self.CELL, key_source=src)
-
-    def test_env_fallback(self, monkeypatch):
-        monkeypatch.setenv("STATIC_MAPS_KEY", "envkey")
-        assert tile_url(self.CELL).endswith("key=envkey")
-
-    def test_cache_path_layout(self):
-        assert tile_cache_path(self.CELL, zoom=19, size_px=400) == "tiles/z19_s400/c3_r4.ppm"

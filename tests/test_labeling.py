@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from safemap.geo import BinResult, LabelingConfig, LabelingError, kmeans_bin
+from safemap.geo import BinResult, LabelingError, kmeans_bin
 from oracles import kmeans2_best_split
 
 
@@ -73,11 +73,6 @@ def test_matches_exhaustive_split_oracle_on_100_multisets():
         assert got_sse == pytest.approx(best_sse, rel=1e-9, abs=1e-9), (
             f"suboptimal partition on {scores}: sse {got_sse} vs optimal {best_sse} "
             f"(oracle upper cluster {sorted(upper)})")
-
-
-def test_config_rejects_other_k():
-    with pytest.raises(LabelingError, match="k=2"):
-        LabelingConfig(k=3)
 
 
 def test_empty_scores_rejected():
