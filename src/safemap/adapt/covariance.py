@@ -10,8 +10,11 @@ which cost O(n d^2) instead of the O(n^2 d^2) literal sums they equal:
           - (sum x)(sum y)^T - (sum y)(sum x)^T
 
 Everything is expressed in taped tensor ops, so gradients flow back into
-the feature rows. The double sums are intentionally unnormalized. Outputs
-are symmetrized explicitly; float matmul does not guarantee exact symmetry.
+the feature rows. Float32 features are first cast to float64 with the taped
+``astype``: the moment identities subtract large, nearly equal terms, which
+float32 would leave with relative errors near 1e-3. The double sums are
+intentionally unnormalized. Outputs are symmetrized explicitly; float
+matmul does not guarantee exact symmetry.
 """
 
 from dataclasses import dataclass
@@ -21,6 +24,7 @@ import numpy as np
 from ..autodiff import (
     ShapeError,
     Tensor,
+    astype,
     gather_rows,
     matmul,
     tensor_sum,
@@ -35,7 +39,7 @@ class AdaptError(ValueError):
 
 def _as_features(f, d_hint=None):
     # Accepts a Tensor, an array, or a list of d-vectors; returns a (n, d)
-    # Tensor. Empty lists need d_hint to fix the feature dimension.
+    # float64 Tensor. Empty lists need d_hint to fix the feature dimension.
     if not isinstance(f, Tensor):
         arr = np.asarray(f, dtype=np.float64)
         if arr.size == 0:
@@ -45,6 +49,8 @@ def _as_features(f, d_hint=None):
         f = Tensor(arr)
     if f.data.ndim != 2:
         raise ShapeError(f"features must be (n, d), got shape {f.shape}")
+    if f.data.dtype != np.float64:
+        f = astype(f, np.float64)
     return f
 
 

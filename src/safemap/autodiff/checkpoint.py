@@ -17,7 +17,8 @@ Layout (all integers little-endian, format stable across releases):
 
 Metadata is an arbitrary JSON object; trainers embed their resolved config
 so a checkpoint is self-describing.  Serialization is canonical, so equal
-parameters and metadata produce byte-identical files.
+parameters and metadata produce byte-identical files.  The file is written
+atomically: a failed save leaves the previous checkpoint as it was.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from ..fileio import atomic_open
 from .tensor import Tensor, TensorError
 
 MAGIC = b"SAFEMAPC"
@@ -54,7 +56,7 @@ def save_checkpoint(path, params: Sequence[Tensor], meta: Optional[dict] = None)
     if meta is not None and not isinstance(meta, dict):
         raise CheckpointError(f"metadata must be a dict, got {type(meta).__name__}")
     meta_bytes = _canonical_json(meta if meta is not None else {})
-    with open(path, "wb") as f:
+    with atomic_open(path, "wb") as f:
         f.write(MAGIC)
         f.write(struct.pack("<I", VERSION))
         f.write(struct.pack("<I", len(meta_bytes)))

@@ -17,6 +17,12 @@ K = Cin*kh*kw and N = B*Ho*Wo, which is kept for the backward pass.
   followed by the crop of the padding.
 
 So the numpy call count stays O(kh*kw) whatever the image size.
+
+The compute dtype follows ``x``: conv2d and linear cast their weight and
+bias to ``x``'s dtype before the GEMMs, and every buffer (padding,
+``cols``, col2im, pooled output) is allocated in it.  A float32 batch
+thus runs float32 GEMMs against float64 parameters, whose gradients still
+accumulate into float64 buffers.
 """
 
 from __future__ import annotations
@@ -82,24 +88,25 @@ def conv2d(x, weight, bias=None, stride: int = 1, pad: int = 0) -> Tensor:
     Wo = conv_out_size(W, kw, stride, pad)
     Hp, Wp = H + 2 * pad, W + 2 * pad
     K, N = Cin * kh * kw, B * Ho * Wo
+    dt = x.data.dtype
 
     # channel-major input [Cin, B, Hp, Wp]; padding is a zero border
     xt = x.data.transpose(1, 0, 2, 3)
     if pad:
-        xp = np.zeros((Cin, B, Hp, Wp))
+        xp = np.zeros((Cin, B, Hp, Wp), dtype=dt)
         xp[:, :, pad:pad + H, pad:pad + W] = xt
     else:
         xp = xt
     # im2col: cols[(ci, i, j), (b, oy, ox)] = xp[ci, b, i + stride*oy, j + stride*ox]
-    cols6 = np.empty((Cin, kh, kw, B, Ho, Wo))
+    cols6 = np.empty((Cin, kh, kw, B, Ho, Wo), dtype=dt)
     for i in range(kh):
         for j in range(kw):
             cols6[:, i, j] = xp[:, :, i:i + stride * Ho:stride, j:j + stride * Wo:stride]
     cols = cols6.reshape(K, N)
-    w2 = weight.data.reshape(Cout, K)
+    w2 = weight.data.reshape(Cout, K).astype(dt, copy=False)
     out2 = w2 @ cols  # [Cout, N]
     if b_t is not None:
-        out2 += b_t.data[:, None]
+        out2 += b_t.data.astype(dt, copy=False)[:, None]
     out_data = np.ascontiguousarray(out2.reshape(Cout, B, Ho, Wo).transpose(1, 0, 2, 3))
 
     def bwd(g):
@@ -112,7 +119,7 @@ def conv2d(x, weight, bias=None, stride: int = 1, pad: int = 0) -> Tensor:
         if x.requires_grad:
             # col2im: scatter-add each kernel tap's patch gradients back
             gcol = (w2.T @ g2).reshape(Cin, kh, kw, B, Ho, Wo)
-            gxp = np.zeros((Cin, B, Hp, Wp))
+            gxp = np.zeros((Cin, B, Hp, Wp), dtype=dt)
             for i in range(kh):
                 for j in range(kw):
                     gxp[:, :, i:i + stride * Ho:stride, j:j + stride * Wo:stride] += gcol[:, i, j]
@@ -132,12 +139,14 @@ def linear(x, weight, bias=None) -> Tensor:
     b_t = _as_tensor(bias) if bias is not None else None
     if b_t is not None and b_t.shape != (weight.shape[0],):
         raise ShapeError(f"linear bias must be [{weight.shape[0]}], got {b_t.shape}")
-    out_data = x.data @ weight.data.T
+    dt = x.data.dtype
+    w = weight.data.astype(dt, copy=False)
+    out_data = x.data @ w.T
     if b_t is not None:
-        out_data = out_data + b_t.data
+        out_data = out_data + b_t.data.astype(dt, copy=False)
 
     def bwd(g):
-        _accumulate(x, g @ weight.data)
+        _accumulate(x, g @ w)
         _accumulate(weight, g.T @ x.data)
         if b_t is not None:
             _accumulate(b_t, g.sum(axis=0))
@@ -179,7 +188,7 @@ def roi_avg_pool(x, rect: Rect, out_hw: tuple) -> Tensor:
     oh, ow = out_hw
     he = _check_bins(rect.height, oh, "roi_avg_pool rows") + rect.top
     we = _check_bins(rect.width, ow, "roi_avg_pool cols") + rect.left
-    out_data = np.empty((B, C, oh, ow), dtype=np.float64)
+    out_data = np.empty((B, C, oh, ow), dtype=x.data.dtype)
     for i in range(oh):
         for j in range(ow):
             out_data[:, :, i, j] = x.data[:, :, he[i]:he[i + 1], we[j]:we[j + 1]].mean(axis=(2, 3))

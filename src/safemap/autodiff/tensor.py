@@ -1,11 +1,20 @@
 """Minimal reverse-mode tensor engine.
 
-A :class:`Tensor` wraps a float64 numpy array plus an optional gradient
-buffer.  Differentiable operations record nodes onto the active
-:class:`Tape` in execution order, which is by construction a topological
-order of the computation graph.  ``backward(loss)`` replays the tape in
-reverse, accumulating gradients additively; accumulation order is fixed by
-tape order, so repeated runs with identical inputs produce bit-identical
+A :class:`Tensor` wraps a float32 or float64 numpy array plus an optional
+gradient buffer; any other input is converted to float64.  The compute
+dtype follows the data: elementwise ops and matmul take numpy's promotion
+of their operands, and conv2d and linear cast their weights to the input's
+dtype.  So a float32 batch runs float32 end to end, while float64 inputs
+(gradient checks, oracle tests) stay float64.  A gradient buffer always has
+its tensor's dtype: a float64 parameter used by a float32 op still
+accumulates a float64 gradient.  ``astype`` is the taped cast between the
+two.
+
+Differentiable operations record nodes onto the active :class:`Tape` in
+execution order, which is by construction a topological order of the
+computation graph.  ``backward(loss)`` replays the tape in reverse,
+accumulating gradients additively; accumulation order is fixed by tape
+order, so repeated runs with identical inputs produce bit-identical
 gradients.
 
 Every op output is checked for NaN/Inf and rejects non-finite values
@@ -39,18 +48,26 @@ def _active_tape() -> Optional["Tape"]:
     return getattr(_tls, "tape", None)
 
 
+def _as_float(data) -> np.ndarray:
+    """float32 and float64 arrays as they are; anything else as float64."""
+    arr = np.asarray(data)
+    if arr.dtype != np.float32 and arr.dtype != np.float64:
+        arr = arr.astype(np.float64)
+    return arr
+
+
 def _check_finite(arr: np.ndarray, op: str) -> None:
     if not np.isfinite(arr).all():
         raise NonFiniteError(f"{op} produced non-finite values")
 
 
 class Tensor:
-    """Float64 n-dimensional array with an optional gradient buffer."""
+    """float32 or float64 n-dimensional array with an optional gradient buffer."""
 
     __slots__ = ("data", "grad", "requires_grad", "name")
 
     def __init__(self, data, requires_grad: bool = False, name: Optional[str] = None):
-        arr = np.asarray(data, dtype=np.float64)
+        arr = _as_float(data)
         _check_finite(arr, "tensor construction")
         self.data = arr
         self.grad: Optional[np.ndarray] = None
@@ -183,7 +200,7 @@ def backward(loss: Tensor) -> None:
 
 
 def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
+    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
@@ -207,7 +224,7 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 
 def _make_op(out_data: np.ndarray, parents: Sequence[Tensor],
              backward_fn: Callable[[np.ndarray], None], op: str) -> Tensor:
-    out_data = np.asarray(out_data, dtype=np.float64)
+    out_data = _as_float(out_data)
     _check_finite(out_data, op)
     requires = any(p.requires_grad for p in parents)
     # checked above under the op's name, so skip the constructor's check
@@ -329,6 +346,19 @@ def reshape(a, shape: tuple) -> Tensor:
     return _make_op(out_data, (a,), bwd, "reshape")
 
 
+def astype(a, dtype) -> Tensor:
+    """Cast to float32 or float64; the gradient flows back in ``a``'s dtype."""
+    a = _as_tensor(a)
+    dtype = np.dtype(dtype)
+    if dtype != np.float32 and dtype != np.float64:
+        raise TensorError(f"astype supports float32 and float64, got {dtype}")
+
+    def bwd(g):
+        _accumulate(a, g)  # a.grad has a's dtype, so this casts back
+
+    return _make_op(a.data.astype(dtype), (a,), bwd, "astype")
+
+
 def tensor_sum(a, axis=None, keepdims: bool = False) -> Tensor:
     a = _as_tensor(a)
     out_data = a.data.sum(axis=axis, keepdims=keepdims)
@@ -386,7 +416,7 @@ def select_stack(candidates: Sequence[Tensor], selected) -> Tensor:
     if sel.size and (sel.min() < 0 or sel.max() >= len(cands)):
         raise ShapeError(f"select_stack index out of range for {len(cands)} candidates")
 
-    out_data = np.empty(base, dtype=np.float64)
+    out_data = np.empty(base, dtype=np.result_type(*(c.data for c in cands)))
     for r, c in enumerate(cands):
         rows = sel == r
         if rows.any():

@@ -42,6 +42,7 @@ from .autodiff import (
     restore_params,
     save_checkpoint,
 )
+from .fileio import atomic_open
 from .geo.grid import GridError, GridSpec, build_grid, score_cells
 from .geo.labeling import LabelingError, kmeans_bin
 from .geo.manifest import (
@@ -122,7 +123,8 @@ class RunDir:
 
         Sequential subcommands may share one run directory; each run's
         manifest keeps every file any of them produced so nothing on disk
-        is undeclared.
+        is undeclared. A path asked for but never written (the run failed
+        first) is left out, so nothing declared is missing either.
         """
         path = self.root / "run_manifest.json"
         files = set(self.files)
@@ -131,10 +133,10 @@ class RunDir:
                 files |= set(json.loads(path.read_text(encoding="utf-8"))["files"])
             except (json.JSONDecodeError, KeyError, TypeError):
                 pass  # unreadable prior manifest: rewrite from this run
-        path.write_text(
-            json.dumps({"subcommand": subcommand, "files": sorted(files)},
-                       sort_keys=True, separators=(",", ":")) + "\n",
-            encoding="utf-8")
+        files = sorted(f for f in files if (self.root / f).is_file())
+        with atomic_open(path, "w", encoding="utf-8") as f:
+            f.write(json.dumps({"subcommand": subcommand, "files": files},
+                               sort_keys=True, separators=(",", ":")) + "\n")
 
 
 def _require(value: Optional[str], key: str) -> str:
@@ -152,8 +154,11 @@ def _progress(line: str) -> None:
 
 def _read_records(cfg: RunConfig):
     path = _require(cfg.paths.accidents_csv, "accidents_csv")
-    with open(path, "r", encoding="utf-8", newline="") as f:
-        return ingest_accidents(f)
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as f:
+            return ingest_accidents(f)
+    except UnicodeDecodeError as e:
+        raise IngestError(f"{path}: not UTF-8 text: {e}") from e
 
 
 def cmd_ingest(cfg: RunConfig, run: RunDir) -> None:
@@ -186,14 +191,17 @@ def cmd_grid(cfg: RunConfig, run: RunDir) -> None:
 
 
 def _read_scores(path) -> list[tuple[int, int, int]]:
-    with open(path, "r", encoding="utf-8", newline="") as f:
-        reader = csv.DictReader(f)
-        if reader.fieldnames is None or not {"col", "row", "score"} <= set(reader.fieldnames):
-            raise LabelingError(f"{path}: expected a col,row,score header")
-        try:
-            return [(int(r["col"]), int(r["row"]), int(r["score"])) for r in reader]
-        except (TypeError, ValueError) as e:
-            raise LabelingError(f"{path}: malformed score row: {e}") from e
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as f:
+            reader = csv.DictReader(f)
+            if reader.fieldnames is None or not {"col", "row", "score"} <= set(reader.fieldnames):
+                raise LabelingError(f"{path}: expected a col,row,score header")
+            try:
+                return [(int(r["col"]), int(r["row"]), int(r["score"])) for r in reader]
+            except (TypeError, ValueError) as e:
+                raise LabelingError(f"{path}: malformed score row: {e}") from e
+    except UnicodeDecodeError as e:
+        raise LabelingError(f"{path}: not UTF-8 text: {e}") from e
 
 
 def cmd_label(cfg: RunConfig, run: RunDir) -> None:

@@ -258,7 +258,11 @@ def forward(images: Tensor, params: DamParams, config: DamConfig) -> ForwardTrac
 
 def predict(images: Tensor, params: DamParams, config: DamConfig
             ) -> tuple[np.ndarray, np.ndarray]:
-    """Hard labels and class probabilities, no gradient tracking."""
+    """Hard labels and float64 class probabilities, no gradient tracking.
+
+    The softmax runs on the logits cast to float64, so a float32 batch does
+    not saturate its probabilities to exactly 0 or 1.
+    """
     trace = forward(images, params, config)
-    probs = softmax(trace.logits.data, axis=1)
+    probs = softmax(trace.logits.data.astype(np.float64), axis=1)
     return probs.argmax(axis=1), probs

@@ -27,6 +27,7 @@ from ..autodiff import (
     softmax_cross_entropy,
     step_decay_lr,
 )
+from ..fileio import atomic_open
 from ..geo.manifest import DatasetManifest, ManifestEntry, warn_if_unbalanced
 from ..geo.ppm import read_ppm
 from .config import DamConfig
@@ -101,8 +102,16 @@ def load_split(manifest: DatasetManifest, image_root, split: Optional[str] = Non
 
 
 def batch_tensor(images_u8: np.ndarray) -> Tensor:
-    """uint8 [B,C,H,W] to a centered float tensor in [-1, 1]."""
-    return Tensor(images_u8.astype(np.float64) / 127.5 - 1.0)
+    """uint8 [B,C,H,W] to a centered float32 tensor in [-1, 1].
+
+    This is where training, evaluation, prediction and CAMs get their
+    compute dtype: every op downstream follows its input's dtype, so the
+    forward and backward passes run in float32 while the parameters, their
+    gradients and the SGD update stay float64.
+    """
+    # centering first is exact, so each value is rounded once
+    half = np.float32(127.5)
+    return Tensor((images_u8.astype(np.float32) - half) / half)
 
 
 def evaluate(dataset: Dataset, params: DamParams, config: DamConfig,
@@ -216,8 +225,8 @@ def train_dam(train_set: Dataset, val_set: Optional[Dataset], config: DamConfig,
 
 
 def save_metrics_csv(path, metrics: list[MetricsRow]) -> None:
-    """CSV with header epoch,split,loss,accuracy; repr-exact floats."""
-    with open(path, "w", encoding="utf-8", newline="") as f:
+    """CSV with header epoch,split,loss,accuracy; repr-exact floats; atomic."""
+    with atomic_open(path, "w", encoding="utf-8", newline="") as f:
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow(["epoch", "split", "loss", "accuracy"])
         for row in metrics:

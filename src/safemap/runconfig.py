@@ -176,6 +176,8 @@ def load_run_config(path) -> RunConfig:
         raise RunConfigError(f"config file not found: {path}") from e
     except json.JSONDecodeError as e:
         raise RunConfigError(f"{path}: invalid JSON: {e}") from e
+    except UnicodeDecodeError as e:
+        raise RunConfigError(f"{path}: not UTF-8 text: {e}") from e
     return RunConfig.from_dict(doc)
 
 

@@ -9,7 +9,7 @@ from safemap.adapt import (
     pseudo_label,
     train_dam_da,
 )
-from safemap.autodiff import Tape, save_checkpoint, softmax_cross_entropy
+from safemap.autodiff import Tape, Tensor, save_checkpoint, softmax_cross_entropy
 from safemap.geo.synth import synth_generate
 from safemap.model import DamConfig, SubregionScheme, init_params
 from safemap.model.network import forward, predict
@@ -115,6 +115,7 @@ class TestBatchLoss:
 
     def test_source_only_classifier_loss(self, source_sets, target_sets):
         x, ys, yt = _half_batch(source_sets, target_sets)
+        x = Tensor(x.data.astype(np.float64))  # float64 logits for the 1e-12 bound
         params = init_params(SMALL_DA, seed=0)
         cfg = DaTrainConfig(lam=0.0, batch_size=8,
                             target_in_classifier_loss=False)

@@ -235,6 +235,25 @@ class TestMalformedInputs:
         assert str(bad) in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("sub,key,code", [
+        ("synth", None, EXIT_USAGE),  # the run config itself
+        ("label", "scores_csv", EXIT_DATA),
+        ("ingest", "accidents_csv", EXIT_DATA),
+        ("grid", "accidents_csv", EXIT_DATA),
+    ])
+    def test_non_utf8_text_input(self, tmp_path, capsys, sub, key, code):
+        bad = tmp_path / "input"
+        bad.write_bytes(b"\xff\xfecol,row,score\n")
+        if key is None:
+            cfg = str(bad)
+        else:
+            cfg = write_config(tmp_path / "c.json",
+                               {"paths": {"run_dir": str(tmp_path / "run"), key: str(bad)}})
+        assert main([sub, "--config", cfg]) == code
+        err = capsys.readouterr().err
+        assert f"{bad}: not UTF-8 text" in err
+        assert "Traceback" not in err
+
 
 @pytest.fixture(scope="module")
 def synth_run(tmp_path_factory):
@@ -428,3 +447,12 @@ class TestTraining:
         assert "cell (23, 0) outside the 23x1 grid" in err
         assert "Traceback" not in err
         assert run_files(tmp_path / "map") == ["config.resolved.json", "run_manifest.json"]
+
+    def test_failed_run_declares_no_missing_file(self, synth_run, tmp_path, capsys):
+        # map-export asks for its output paths, then fails on a cell past the
+        # 23x1 grid before writing them
+        self.test_cell_outside_grid_is_data_error(synth_run, tmp_path, capsys)
+        run = tmp_path / "map"
+        declared = json.loads((run / "run_manifest.json").read_text())["files"]
+        assert declared == ["config.resolved.json"]
+        assert_no_orphans(run)

@@ -17,7 +17,9 @@ from safemap.autodiff import (
     ShapeError,
     Tape,
     Tensor,
+    TensorError,
     adaptive_avg_pool,
+    astype,
     backward,
     channel_concat,
     conv2d,
@@ -143,6 +145,90 @@ class TestConv2dBackward:
         gx, gw, _ = conv2d_backward_naive(x.data, w.data, g, 1, 1)
         np.testing.assert_allclose(x.grad, gx, rtol=0, atol=1e-12)
         np.testing.assert_allclose(w.grad, gw, rtol=0, atol=1e-12)
+
+
+def _close32(actual, expected):
+    """float32 result against a float64 oracle: ~100 float32 roundings
+    (eps 1.2e-7) per entry, measured against the largest entry."""
+    np.testing.assert_allclose(actual, expected, rtol=1e-5,
+                               atol=1e-5 * np.abs(expected).max())
+
+
+class TestConv2dFloat32:
+    """float32 inputs against the float64 oracles on the same values."""
+
+    # the stride x pad x kernel x batch grid of the float64 oracle test
+    pytestmark = TestConv2dBackward.test_matches_naive_oracle.pytestmark
+
+    def test_matches_float64_oracle(self, stride, pad, kernel, batch):
+        rng = np.random.default_rng([stride, pad, kernel[0], kernel[1], batch])
+        x = Tensor(rng.normal(size=(batch, 2, 7, 9)).astype(np.float32), requires_grad=True)
+        # parameters stay float64 and are cast to x's dtype inside conv2d
+        w = parameter(rng.normal(size=(3, 2) + kernel).astype(np.float32).astype(np.float64),
+                      name="w")
+        b = parameter(rng.normal(size=3).astype(np.float32).astype(np.float64), name="b")
+        out, g = _conv_backward(x, w, b, stride, pad, seed=1)
+        x64 = x.data.astype(np.float64)
+        assert out.data.dtype == np.float32 and x.grad.dtype == np.float32
+        assert w.grad.dtype == np.float64 and b.grad.dtype == np.float64
+        _close32(out.data, conv2d_naive(x64, w.data, b.data, stride, pad))
+        g32 = g.astype(np.float32).astype(np.float64)  # the upstream gradient conv2d saw
+        gx, gw, gb = conv2d_backward_naive(x64, w.data, g32, stride, pad)
+        _close32(x.grad, gx)
+        _close32(w.grad, gw)
+        _close32(b.grad, gb)
+
+
+class TestFloat32Outputs:
+    """Every op on the model's path keeps a float32 input float32."""
+
+    def test_linear(self):
+        rng = np.random.default_rng(0)
+        x = Tensor(rng.normal(size=(3, 4)).astype(np.float32))
+        out = linear(x, Tensor(rng.normal(size=(2, 4))), Tensor(np.ones(2)))
+        assert out.data.dtype == np.float32
+
+    def test_roi_avg_pool(self):
+        x = Tensor(np.arange(32, dtype=np.float32).reshape(1, 2, 4, 4))
+        assert roi_avg_pool(x, Rect(0, 3, 1, 4), (2, 2)).data.dtype == np.float32
+
+    def test_select_stack(self):
+        cands = [Tensor(np.full((2, 3), v, dtype=np.float32)) for v in (1.0, 2.0)]
+        out = select_stack(cands, [1, 0])
+        assert out.data.dtype == np.float32
+        np.testing.assert_array_equal(out.data, [[2, 2, 2], [1, 1, 1]])
+
+    def test_softmax_cross_entropy(self):
+        logits = Tensor(np.array([[1.0, -1.0], [0.5, 2.0]], dtype=np.float32))
+        assert softmax_cross_entropy(logits, [0, 1]).data.dtype == np.float32
+
+    def test_other_inputs_become_float64(self):
+        assert Tensor(np.arange(3)).data.dtype == np.float64
+        assert Tensor(np.ones(2, dtype=np.float16)).data.dtype == np.float64
+        assert Tensor([1.0, 2.0]).data.dtype == np.float64
+
+
+class TestAstype:
+    def test_forward_casts_and_gradient_keeps_source_dtype(self):
+        x = parameter(np.array([1.5, -2.0, 3.25]), name="x")
+        with Tape():
+            y = astype(x, np.float32)
+            backward(tensor_sum(y * Tensor(np.array([1.0, 2.0, 3.0], dtype=np.float32))))
+        assert y.data.dtype == np.float32
+        np.testing.assert_array_equal(y.data, x.data)
+        assert x.grad.dtype == np.float64
+        np.testing.assert_array_equal(x.grad, [1.0, 2.0, 3.0])
+
+    def test_upcast_gradient_returns_float32(self):
+        x = Tensor(np.array([0.5, 4.0], dtype=np.float32), requires_grad=True)
+        with Tape():
+            backward(tensor_sum(astype(x, np.float64) * 3.0))
+        assert x.grad.dtype == np.float32
+        np.testing.assert_array_equal(x.grad, [3.0, 3.0])
+
+    def test_rejects_non_float_dtype(self):
+        with pytest.raises(TensorError, match="float32 and float64"):
+            astype(Tensor([1.0]), np.int64)
 
 
 class TestLinear:
