@@ -3,9 +3,10 @@
 A :class:`Tensor` wraps a float32 or float64 numpy array plus an optional
 gradient buffer; any other input is converted to float64.  The compute
 dtype follows the data: elementwise ops and matmul take numpy's promotion
-of their operands, and conv2d and linear cast their weights to the input's
-dtype.  So a float32 batch runs float32 end to end, while float64 inputs
-(gradient checks, oracle tests) stay float64.  A gradient buffer always has
+of their operands, with a Python int or float taking the other operand's
+dtype, and conv2d and linear cast their weights to the input's dtype.  So
+a float32 batch runs float32 end to end, while float64 inputs (gradient
+checks, oracle tests) stay float64.  A gradient buffer always has
 its tensor's dtype: a float64 parameter used by a float32 op still
 accumulates a float64 gradient.  ``astype`` is the taped cast between the
 two.
@@ -199,8 +200,14 @@ def backward(loss: Tensor) -> None:
     tape.backward(loss)
 
 
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
+def _as_tensor(x, like=None) -> Tensor:
+    """``x`` as a Tensor; a Python int or float takes the dtype of ``like``,
+    the other operand, so ``t * 0.5`` keeps a float32 ``t`` float32."""
+    if isinstance(x, Tensor):
+        return x
+    if type(x) in (int, float) and isinstance(like, Tensor):
+        return Tensor(np.asarray(x, dtype=like.data.dtype))
+    return Tensor(x)
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
@@ -237,7 +244,7 @@ def _make_op(out_data: np.ndarray, parents: Sequence[Tensor],
 
 
 def add(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
+    a, b = _as_tensor(a, b), _as_tensor(b, a)
     out_data = a.data + b.data
 
     def bwd(g):
@@ -248,7 +255,7 @@ def add(a, b) -> Tensor:
 
 
 def sub(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
+    a, b = _as_tensor(a, b), _as_tensor(b, a)
     out_data = a.data - b.data
 
     def bwd(g):
@@ -268,7 +275,7 @@ def neg(a) -> Tensor:
 
 
 def mul(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
+    a, b = _as_tensor(a, b), _as_tensor(b, a)
     out_data = a.data * b.data
 
     def bwd(g):
@@ -279,7 +286,7 @@ def mul(a, b) -> Tensor:
 
 
 def div(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
+    a, b = _as_tensor(a, b), _as_tensor(b, a)
     with np.errstate(divide="ignore", invalid="ignore"):
         out_data = a.data / b.data
 

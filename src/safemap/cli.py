@@ -163,7 +163,7 @@ def _read_records(cfg: RunConfig):
 
 def cmd_ingest(cfg: RunConfig, run: RunDir) -> None:
     result = _read_records(cfg)
-    with open(run.path("records.jsonl"), "w", encoding="utf-8", newline="\n") as f:
+    with atomic_open(run.path("records.jsonl"), "w", encoding="utf-8", newline="\n") as f:
         for r in result.records:
             obj = {"id": r.id, "date": r.date.isoformat(),
                    "time": r.time.strftime("%H:%M"), "day_of_week": r.day_of_week,
@@ -179,7 +179,7 @@ def cmd_grid(cfg: RunConfig, run: RunDir) -> None:
     spec, cells = build_grid(result.records, cfg.pipeline.cell_size_m)
     scored = score_cells(spec, cells)
     run.write_json("grid.json", spec.to_dict())
-    with open(run.path("scores.csv"), "w", encoding="utf-8", newline="") as f:
+    with atomic_open(run.path("scores.csv"), "w", encoding="utf-8", newline="") as f:
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow(["col", "row", "score"])
         for row in range(spec.rows):
@@ -207,7 +207,7 @@ def _read_scores(path) -> list[tuple[int, int, int]]:
 def cmd_label(cfg: RunConfig, run: RunDir) -> None:
     rows = _read_scores(_require(cfg.paths.scores_csv, "scores_csv"))
     result = kmeans_bin([s for _, _, s in rows])
-    with open(run.path("labels.csv"), "w", encoding="utf-8", newline="") as f:
+    with atomic_open(run.path("labels.csv"), "w", encoding="utf-8", newline="") as f:
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow(["col", "row", "score", "label"])
         for (col, row, score), label in zip(rows, result.assignments):
@@ -348,7 +348,7 @@ def cmd_cam(cfg: RunConfig, run: RunDir) -> None:
 def _read_grid(path) -> GridSpec:
     try:
         return GridSpec.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
-    except (ValueError, GridError) as e:  # bad JSON, not UTF-8, malformed spec
+    except (ValueError, RecursionError) as e:  # bad or too deep JSON, not UTF-8, GridError
         raise GridError(f"{path}: {e}") from e
 
 

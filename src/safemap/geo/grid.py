@@ -16,6 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ..jsoncodec import JsonError, from_json, to_json
 from .records import AccidentRecord
 
 EARTH_RADIUS_M = 6_371_000.0
@@ -24,7 +25,7 @@ EARTH_RADIUS_M = 6_371_000.0
 MAX_CELLS = 50_000_000
 
 
-class GridError(Exception):
+class GridError(ValueError):
     """Invalid grid construction or scoring input."""
 
 
@@ -75,28 +76,14 @@ class GridSpec:
         return lat, lon
 
     def to_dict(self) -> dict:
-        return {
-            "origin_lat": self.origin_lat,
-            "origin_lon": self.origin_lon,
-            "cell_size_m": self.cell_size_m,
-            "columns": self.columns,
-            "rows": self.rows,
-            "ref_lat": self.ref_lat,
-            "earth_radius_m": self.earth_radius_m,
-        }
+        return to_json(self)
 
     @classmethod
     def from_dict(cls, d) -> "GridSpec":
         """Parse a ``to_dict`` object; anything malformed raises GridError."""
-        if not isinstance(d, dict):
-            raise GridError(f"grid spec must be a JSON object, got {type(d).__name__}")
         try:
-            for key, value in d.items():
-                kind = int if key in ("columns", "rows") else (int, float)
-                if not isinstance(value, kind) or not math.isfinite(value):
-                    raise GridError(f"grid spec {key!r} must be a finite number, got {value!r}")
-            return cls(**d)
-        except (TypeError, OverflowError) as e:  # missing or unknown keys, huge ints
+            return from_json(cls, d)
+        except JsonError as e:
             raise GridError(f"malformed grid spec: {e}") from e
 
 

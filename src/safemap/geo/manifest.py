@@ -17,6 +17,9 @@ from typing import Iterable, Optional
 
 import numpy as np
 
+from ..fileio import atomic_open
+from ..jsoncodec import JsonError, from_json
+
 MANIFEST_KIND = "safemap-manifest"
 MANIFEST_VERSION = 1
 
@@ -25,7 +28,7 @@ SPLITS = ("train", "val", "test")
 DOMAINS = ("source", "target")
 
 
-class ManifestError(Exception):
+class ManifestError(ValueError):
     """Malformed manifest file or invalid manifest operation."""
 
 
@@ -57,18 +60,9 @@ class ManifestEntry:
 
     @classmethod
     def from_json_obj(cls, obj) -> "ManifestEntry":
-        if not isinstance(obj, dict):
-            raise ManifestError(f"entry must be a JSON object, got {obj!r}")
-        known = {"image", "label", "domain", "cell", "split", "pseudo"}
-        extra = set(obj) - known
-        if extra:
-            raise ManifestError(f"unknown entry keys: {sorted(extra)}")
         try:
-            cell = obj["cell"]
-            return cls(image=obj["image"], label=obj["label"], domain=obj["domain"],
-                       cell=(int(cell[0]), int(cell[1])), split=obj["split"],
-                       pseudo=bool(obj.get("pseudo", False)))
-        except (KeyError, IndexError, TypeError, ValueError, OverflowError) as e:
+            return from_json(cls, obj)
+        except JsonError as e:
             raise ManifestError(f"malformed entry {obj!r}: {e}") from e
 
 
@@ -108,7 +102,7 @@ def _dumps(obj: dict) -> str:
 def save_manifest(path, manifest: DatasetManifest) -> None:
     header = {"kind": MANIFEST_KIND, "version": MANIFEST_VERSION,
               "seed": manifest.seed, "generator": manifest.generator}
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
+    with atomic_open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write(_dumps(header) + "\n")
         for e in manifest.entries:
             f.write(_dumps(e.to_json_obj()) + "\n")

@@ -26,6 +26,8 @@ from typing import Optional
 
 import numpy as np
 
+from ..fileio import atomic_open
+from ..jsoncodec import from_json, to_json
 from .manifest import DatasetManifest, ManifestEntry, assign_splits, save_manifest
 from .ppm import write_ppm
 
@@ -61,10 +63,6 @@ class SynthImageMeta:
     label: int
     motif: str  # "crossing" | "hstrip" | "vstrip" | "none"
     bbox: Optional[tuple[int, int, int, int]]  # x0, y0, x1, y1 (half-open)
-
-    def to_json_obj(self) -> dict:
-        return {"image": self.image, "label": self.label, "motif": self.motif,
-                "bbox": list(self.bbox) if self.bbox else None}
 
 
 @dataclass
@@ -187,20 +185,12 @@ def synth_generate(out_dir, n_per_class: int, image_hw: tuple[int, int] = (64, 6
     entries = assign_splits(entries, split_fractions, seed)
     manifest = DatasetManifest(seed=seed, generator=GENERATOR_TAG, entries=entries)
     save_manifest(out_dir / "manifest.jsonl", manifest)
-    with open(out_dir / "synth_meta.jsonl", "w", encoding="utf-8", newline="\n") as f:
+    with atomic_open(out_dir / "synth_meta.jsonl", "w", encoding="utf-8", newline="\n") as f:
         for m in metas:
-            f.write(json.dumps(m.to_json_obj(), sort_keys=True, separators=(",", ":")) + "\n")
+            f.write(json.dumps(to_json(m), sort_keys=True, separators=(",", ":")) + "\n")
     return SynthResult(manifest=manifest, metas=metas, image_dir=out_dir)
 
 
 def load_synth_meta(path) -> list[SynthImageMeta]:
-    metas = []
     with open(path, "r", encoding="utf-8") as f:
-        for ln in f:
-            if not ln.strip():
-                continue
-            obj = json.loads(ln)
-            bbox = tuple(obj["bbox"]) if obj.get("bbox") else None
-            metas.append(SynthImageMeta(image=obj["image"], label=obj["label"],
-                                        motif=obj["motif"], bbox=bbox))
-    return metas
+        return [from_json(SynthImageMeta, json.loads(ln)) for ln in f if ln.strip()]

@@ -19,14 +19,16 @@ configured: ``IN_CHANNELS`` = 3 because every tile is an RGB PPM, and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
+
+from ..jsoncodec import JsonError, from_json, to_json
 
 SCHEME_KINDS = ("HS", "VS", "SQ")
 IN_CHANNELS = 3
 NUM_CLASSES = 2
 
 
-class ConfigError(Exception):
+class ConfigError(ValueError):
     """Inconsistent model configuration."""
 
 
@@ -54,14 +56,6 @@ class SubregionScheme:
                 raise ConfigError(f"SQ scheme count must be a perfect square, got {self.count}")
         if self.pooled[0] < 1 or self.pooled[1] < 1:
             raise ConfigError(f"pooled size must be positive, got {self.pooled}")
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "count": self.count, "pooled": list(self.pooled)}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SubregionScheme":
-        return cls(kind=d["kind"], count=int(d["count"]),
-                   pooled=tuple(d.get("pooled", (7, 7))))
 
 
 def default_schemes() -> tuple[SubregionScheme, ...]:
@@ -118,28 +112,15 @@ class DamConfig:
         return self.da_reduce_widths[1] if self.da_mode else self.fused_channels
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["input_hw"] = list(self.input_hw)
-        d["stage_widths"] = list(self.stage_widths)
-        d["stage_strides"] = list(self.stage_strides)
-        d["stage_pads"] = list(self.stage_pads)
-        d["local_widths"] = list(self.local_widths)
-        d["da_reduce_widths"] = list(self.da_reduce_widths)
-        d["da_local_widths"] = list(self.da_local_widths)
-        d["schemes"] = [s.to_dict() for s in self.schemes]
-        return d
+        """This config as JSON; the name stays because the checkpoint writers
+        (the CLI's and the benchmark's) store it as metadata through it."""
+        return to_json(self)
 
     @classmethod
-    def from_dict(cls, d: dict) -> "DamConfig":
-        known = {f.name for f in cls.__dataclass_fields__.values()}  # type: ignore[attr-defined]
-        extra = set(d) - known
-        if extra:
-            raise ConfigError(f"unknown model config keys: {sorted(extra)}")
-        kwargs = dict(d)
-        for key in ("input_hw", "stage_widths", "stage_strides", "stage_pads",
-                    "local_widths", "da_reduce_widths", "da_local_widths"):
-            if key in kwargs:
-                kwargs[key] = tuple(kwargs[key])
-        if "schemes" in kwargs:
-            kwargs["schemes"] = tuple(SubregionScheme.from_dict(s) for s in kwargs["schemes"])
-        return cls(**kwargs)
+    def from_dict(cls, d) -> "DamConfig":
+        """Parse a ``to_dict`` object or raise ConfigError; the name stays
+        because the benchmark's step probe builds its model through it."""
+        try:
+            return from_json(cls, d)
+        except JsonError as e:
+            raise ConfigError(str(e)) from e

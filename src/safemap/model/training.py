@@ -34,7 +34,7 @@ from .config import DamConfig
 from .network import DamParams, ForwardTrace, forward, init_params
 
 
-class TrainError(Exception):
+class TrainError(ValueError):
     """Unusable training inputs."""
 
 

@@ -5,6 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..fileio import atomic_open
 from ..geo.grid import GridSpec
 from ..geo.manifest import DANGEROUS, SAFE
 from ..geo.ppm import write_ppm
@@ -44,7 +45,7 @@ def safety_map_export(grid: GridSpec, predictions: dict, csv_path, ppm_path) -> 
         if not (0 <= col < grid.columns and 0 <= row < grid.rows):
             raise ExportError(f"prediction for cell {(col, row)} outside the "
                               f"{grid.columns}x{grid.rows} grid")
-    with open(csv_path, "w", encoding="utf-8", newline="") as f:
+    with atomic_open(csv_path, "w", encoding="utf-8", newline="") as f:
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow(["col", "row", "center_lat", "center_lon",
                          "label", "prob_dangerous"])

@@ -12,22 +12,28 @@ the module that consumes it:
     cam       class index to visualize
     paths     every file the subcommands read or write under
 
-Unknown keys are rejected at the top level and inside every section, so a
-typo fails the run instead of silently using a default. A missing section
-means all defaults. Every run writes the fully resolved document (defaults
-filled in, seed override applied) beside its outputs as
-``config.resolved.json``.
+One value rule, applied by ``jsoncodec`` from the field annotations,
+holds at every depth: unknown keys are rejected (a typo fails the run
+instead of silently using a default), an int field takes no bool or
+float, a float field only a finite number, a str or bool field only that
+type, a tuple field a list of its exact length, and ``eval.split`` one of
+train, val and test. A bad value fails at load, naming its section and
+key, not hours into a run. A missing key or section means its defaults.
+
+Every run writes the fully resolved document (defaults filled in, seed
+override applied) beside its outputs as ``config.resolved.json``.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, fields, replace
-from typing import Optional
+from dataclasses import dataclass, replace
+from typing import Literal, Optional
 
 from .adapt.training import DaTrainConfig
-from .model.config import ConfigError, DamConfig
-from .model.training import TrainConfig, TrainError
+from .jsoncodec import JsonError, from_json, to_json
+from .model.config import DamConfig
+from .model.training import TrainConfig
 
 
 class RunConfigError(ValueError):
@@ -52,7 +58,7 @@ class SynthSection:
 
 @dataclass(frozen=True)
 class EvalSection:
-    split: str = "test"
+    split: Literal["train", "val", "test"] = "test"
     batch_size: int = 64
 
     def __post_init__(self):
@@ -83,24 +89,6 @@ class PathsSection:
     image: Optional[str] = None
 
 
-_TUPLE_KEYS = {"split_fractions", "image_hw"}
-
-
-def _build_section(cls, obj, section: str):
-    if not isinstance(obj, dict):
-        raise RunConfigError(f"section {section!r} must be a JSON object, got {type(obj).__name__}")
-    known = {f.name for f in fields(cls)}
-    extra = sorted(set(obj) - known)
-    if extra:
-        raise RunConfigError(f"unknown keys in section {section!r}: {extra}")
-    kwargs = {k: tuple(v) if k in _TUPLE_KEYS and isinstance(v, list) else v
-              for k, v in obj.items()}
-    try:
-        return cls(**kwargs)
-    except (TypeError, ValueError, TrainError, ConfigError) as e:
-        raise RunConfigError(f"section {section!r}: {e}") from e
-
-
 @dataclass(frozen=True)
 class RunConfig:
     pipeline: PipelineSection = PipelineSection()
@@ -111,51 +99,6 @@ class RunConfig:
     eval: EvalSection = EvalSection()
     cam: CamSection = CamSection()
     paths: PathsSection = PathsSection()
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "RunConfig":
-        if not isinstance(doc, dict):
-            raise RunConfigError(f"run config must be a JSON object, got {type(doc).__name__}")
-        sections = {
-            "pipeline": (PipelineSection, _build_section),
-            "synth": (SynthSection, _build_section),
-            "model": (DamConfig, None),
-            "train": (TrainConfig, _build_section),
-            "da": (DaTrainConfig, _build_section),
-            "eval": (EvalSection, _build_section),
-            "cam": (CamSection, _build_section),
-            "paths": (PathsSection, _build_section),
-        }
-        extra = sorted(set(doc) - set(sections))
-        if extra:
-            raise RunConfigError(f"unknown run config sections: {extra}")
-        kwargs = {}
-        for name, (section_cls, builder) in sections.items():
-            if name not in doc:
-                continue
-            if builder is None:
-                try:
-                    kwargs[name] = DamConfig.from_dict(doc[name])
-                except (TypeError, ValueError, ConfigError) as e:
-                    raise RunConfigError(f"section 'model': {e}") from e
-            else:
-                kwargs[name] = builder(section_cls, doc[name], name)
-        return cls(**kwargs)
-
-    def to_dict(self) -> dict:
-        doc = {
-            "pipeline": asdict(self.pipeline),
-            "synth": asdict(self.synth),
-            "model": self.model.to_dict(),
-            "train": asdict(self.train),
-            "da": asdict(self.da),
-            "eval": asdict(self.eval),
-            "cam": asdict(self.cam),
-            "paths": asdict(self.paths),
-        }
-        doc["pipeline"]["split_fractions"] = list(self.pipeline.split_fractions)
-        doc["synth"]["image_hw"] = list(self.synth.image_hw)
-        return doc
 
     def with_seed(self, seed: int) -> "RunConfig":
         """Override every section's seed; the resolved snapshot records it."""
@@ -174,12 +117,17 @@ def load_run_config(path) -> RunConfig:
             doc = json.load(f)
     except FileNotFoundError as e:
         raise RunConfigError(f"config file not found: {path}") from e
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:  # RecursionError: nested too deep
         raise RunConfigError(f"{path}: invalid JSON: {e}") from e
     except UnicodeDecodeError as e:
         raise RunConfigError(f"{path}: not UTF-8 text: {e}") from e
-    return RunConfig.from_dict(doc)
+    try:
+        return from_json(RunConfig, doc)
+    except JsonError as e:
+        if not e.path:
+            raise RunConfigError(f"run config: {e}") from e
+        raise RunConfigError(f"section {e.path[0]!r}: {JsonError(e.path[1:], e.reason)}") from e
 
 
 def dumps_resolved(config: RunConfig) -> str:
-    return json.dumps(config.to_dict(), sort_keys=True, indent=2) + "\n"
+    return json.dumps(to_json(config), sort_keys=True, indent=2) + "\n"

@@ -86,7 +86,7 @@ class TestConfigErrors:
     def test_unknown_section_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.json", {"sinth": {}})
         assert main(["synth", "--config", cfg]) == EXIT_USAGE
-        assert "unknown run config sections" in capsys.readouterr().err
+        assert "run config: unknown keys ['sinth']" in capsys.readouterr().err
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", {"train": {"epocs": 2}})
@@ -145,6 +145,57 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert "section 'da'" in err and "lam" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("section,key,value", [
+        # each used to end in a traceback, most only once training had started
+        ("model", "schemes", [{"kind": "SQ", "count": 4, "pooled": [7]}]),
+        ("synth", "image_hw", [64]),
+        ("synth", "seed", "x"),
+        ("synth", "n_per_class", "3"),
+        ("pipeline", "split_fractions", [float("nan"), 0.5, 0.5]),
+        ("train", "epochs", 1.5),
+        ("model", "d", 8.5),
+        ("model", "local_widths", [8]),
+        ("train", "early_stop_val_acc", "x"),
+        ("paths", "run_dir", 5),
+        # each used to load silently
+        ("model", "schemes", [{"kind": "SQ", "count": 4, "pooled": [7, 7], "bogus": 1}]),
+        ("train", "early_stop_val_acc", float("nan")),
+        ("synth", "jitter_px", 1.5),
+        ("pipeline", "split_fractions", [0.5, 0.5]),
+        ("synth", "seed", True),
+        ("cam", "class_index", None),
+        # used to exit 2 only after the manifest had loaded
+        ("eval", "split", "bogus"),
+    ])
+    def test_bad_value_fails_at_load(self, tmp_path, capsys, section, key, value):
+        doc = {section: {key: value}}
+        if section != "paths":
+            doc["paths"] = {"run_dir": str(tmp_path / "run")}
+        cfg = write_config(tmp_path / "c.json", doc)
+        assert main(["eval", "--config", cfg]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"section '{section}': {key}" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("doc,message", [
+        ([], "run config: expected a JSON object, got list"),
+        ({"model": [1]}, "section 'model': expected a JSON object, got list"),
+        ({"model": {"schemes": [{"count": 4}]}}, "section 'model': schemes[0]: missing keys"),
+    ])
+    def test_malformed_structure_is_usage_error(self, tmp_path, capsys, doc, message):
+        cfg = write_config(tmp_path / "c.json", doc)
+        assert main(["eval", "--config", cfg]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+
+    def test_deeply_nested_config_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+        assert main(["synth", "--config", str(cfg)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"{cfg}: invalid JSON" in err and "Traceback" not in err
 
     def test_missing_input_file_is_data_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.json",
@@ -208,20 +259,37 @@ class TestPipeline:
 MANIFEST_HEADER = b'{"generator":"t","kind":"safemap-manifest","seed":0,"version":1}\n'
 
 
+GRID_JSON = (b'{"origin_lat":0,"origin_lon":0,"cell_size_m":30.0,"columns":2,"rows":1,'
+             b'"ref_lat":0}')
+
+
 class TestMalformedInputs:
     @pytest.mark.parametrize("sub,key,content", [
         ("map-export", "grid_json", b"{not json"),
         ("map-export", "grid_json", b"\xff\xfe{}"),
         ("map-export", "grid_json", b"[1, 2]"),
+        pytest.param("map-export", "grid_json", b"[" * 100_000 + b"]" * 100_000,
+                     id="map-export-grid_json-deeply-nested"),
         ("map-export", "grid_json", b'{"columns": 2, "rows": 1}'),
         ("map-export", "grid_json", b'{"origin_lat": 0, "origin_lon": 0, "cell_size_m": "x",'
                                     b' "columns": 2, "rows": 1, "ref_lat": 0}'),
+        ("map-export", "grid_json", GRID_JSON.replace(b'"columns":2', b'"columns":true')),
+        ("map-export", "grid_json", GRID_JSON.replace(b'"rows":1', b'"rows":1.0')),
+        ("map-export", "grid_json", GRID_JSON.replace(b'"cell_size_m":30.0',
+                                                      b'"cell_size_m":Infinity')),
+        ("map-export", "grid_json", GRID_JSON.replace(b'"ref_lat":0', b'"ref_lat":0,"x":1')),
         ("balance", "manifest", b"[1, 2]\n"),
         ("balance", "manifest", MANIFEST_HEADER + b"5\n"),
         ("balance", "manifest", MANIFEST_HEADER + b'{"cell":[0,0],"domain":"source",'
                                 b'"image":[1],"label":0,"split":"train"}\n'),
         ("balance", "manifest", MANIFEST_HEADER + b'{"cell":["a",0],"domain":"source",'
                                 b'"image":"a.ppm","label":0,"split":"train"}\n'),
+        ("balance", "manifest", MANIFEST_HEADER + b'{"cell":[0,0,0],"domain":"source",'
+                                b'"image":"a.ppm","label":0,"split":"train"}\n'),
+        ("balance", "manifest", MANIFEST_HEADER + b'{"cell":[0,0],"domain":"source",'
+                                b'"image":"a.ppm","label":true,"split":"train"}\n'),
+        ("balance", "manifest", MANIFEST_HEADER + b'{"cell":[0,0],"domain":"source",'
+                                b'"image":"a.ppm","label":0,"pseudo":"no","split":"train"}\n'),
         ("balance", "manifest", b"\xff\xfe\n"),
         ("balance", "manifest", MANIFEST_HEADER.replace(b'"seed":0', b'"seed":"abc"')),
     ])

@@ -1,12 +1,20 @@
 """Atomic artifact writes: a failed write leaves the previous file intact."""
 
+import errno
+import json
 import os
 
 import pytest
 
+from safemap import fileio
 from safemap.autodiff import parameter, save_checkpoint
+from safemap.cli import main
 from safemap.fileio import atomic_open
+from safemap.geo.grid import GridSpec
+from safemap.geo.manifest import DatasetManifest, ManifestEntry, save_manifest
+from safemap.geo.synth import synth_generate
 from safemap.model.training import MetricsRow, load_metrics_csv, save_metrics_csv
+from safemap.report import CellPrediction, safety_map_export
 
 
 def _listing(directory):
@@ -74,3 +82,104 @@ def test_failed_metrics_save_keeps_previous_csv(tmp_path):
     assert path.read_bytes() == before
     assert load_metrics_csv(path) == rows
     assert _listing(tmp_path) == ["metrics.csv"]
+
+
+class _DiskFullOnSecondWrite:
+    """A file whose second ``write`` call fails the way a full disk does."""
+
+    def __init__(self, f):
+        self._f, self._writes = f, 0
+
+    def write(self, data):
+        self._writes += 1
+        if self._writes == 2:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return self._f.write(data)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._f.close()
+
+
+@pytest.fixture
+def fail_writes_to(monkeypatch):
+    """Arm ``atomic_open`` so writes to a file named ``name`` fail midway.
+
+    A writer that bypasses ``atomic_open`` is not armed, so its test sees no
+    failure; a writer that truncates in place loses the previous bytes.
+    """
+    real_open = open
+
+    def arm(name):
+        def fake_open(path, *args, **kwargs):
+            f = real_open(path, *args, **kwargs)
+            return _DiskFullOnSecondWrite(f) if name in os.path.basename(path) else f
+        monkeypatch.setattr(fileio, "open", fake_open, raising=False)
+    return arm
+
+
+def _assert_kept(path, before):
+    assert path.read_bytes() == before
+    assert [n for n in os.listdir(path.parent) if n.endswith(".tmp")] == []
+
+
+ACCIDENTS_CSV = """id,date,time,day_of_week,latitude,longitude,vehicles,casualties
+A1,03/01/2019,08:30,4,51.5000,-0.1200,2,1
+A2,04/01/2019,17:45,5,51.5001,-0.1201,1,1
+A3,05/01/2019,12:00,6,51.5008,-0.1195,3,2
+"""
+
+
+@pytest.mark.parametrize("sub,artifact", [
+    ("ingest", "records.jsonl"), ("grid", "scores.csv"), ("label", "labels.csv"),
+])
+def test_failed_cli_artifact_write_keeps_previous_file(tmp_path, fail_writes_to, sub,
+                                                       artifact):
+    (tmp_path / "acc.csv").write_text(ACCIDENTS_CSV, encoding="utf-8")
+    run = tmp_path / "run"
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"paths": {
+        "run_dir": str(run), "accidents_csv": str(tmp_path / "acc.csv"),
+        "scores_csv": str(run / "scores.csv")}}), encoding="utf-8")
+    for step in ("grid", sub):
+        assert main([step, "--config", str(cfg)]) == 0
+    before = (run / artifact).read_bytes()
+    fail_writes_to(artifact)
+    with pytest.raises(OSError, match="No space"):
+        main([sub, "--config", str(cfg)])
+    _assert_kept(run / artifact, before)
+
+
+def test_failed_manifest_save_keeps_previous_manifest(tmp_path, fail_writes_to):
+    path = tmp_path / "m.jsonl"
+    entries = [ManifestEntry(f"{i}.ppm", i % 2, "source", (i, 0), "train") for i in range(3)]
+    save_manifest(path, DatasetManifest(seed=0, generator="test", entries=entries))
+    before = path.read_bytes()
+    fail_writes_to("m.jsonl")
+    with pytest.raises(OSError):
+        save_manifest(path, DatasetManifest(seed=1, generator="test", entries=entries))
+    _assert_kept(path, before)
+
+
+def test_failed_synth_meta_write_keeps_previous_file(tmp_path, fail_writes_to):
+    synth_generate(tmp_path, n_per_class=2, image_hw=(16, 16), seed=0)
+    before = (tmp_path / "synth_meta.jsonl").read_bytes()
+    fail_writes_to("synth_meta.jsonl")
+    with pytest.raises(OSError):
+        synth_generate(tmp_path, n_per_class=2, image_hw=(16, 16), seed=1)
+    _assert_kept(tmp_path / "synth_meta.jsonl", before)
+
+
+def test_failed_safety_map_csv_write_keeps_previous_file(tmp_path, fail_writes_to):
+    grid = GridSpec(origin_lat=51.5, origin_lon=-0.12, cell_size_m=30.0, columns=3, rows=1,
+                    ref_lat=51.5)
+    preds = {(c, 0): CellPrediction(label=c % 2, prob_dangerous=0.25 * c) for c in range(3)}
+    csv_path = tmp_path / "safety_map.csv"
+    safety_map_export(grid, preds, csv_path, tmp_path / "safety_map.ppm")
+    before = csv_path.read_bytes()
+    fail_writes_to("safety_map.csv")
+    with pytest.raises(OSError):
+        safety_map_export(grid, preds, csv_path, tmp_path / "safety_map.ppm")
+    _assert_kept(csv_path, before)
