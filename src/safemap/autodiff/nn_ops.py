@@ -3,20 +3,30 @@
 Layout convention is NCHW throughout: batched image tensors have shape
 ``[B, C, H, W]``, dense activations ``[B, F]``.
 
-conv2d is im2col plus GEMM (Chellapilla et al. 2006).  The input is read
-channel-major, ``[Cin, B, H, W]``; when padded it is first copied into a
-zero-bordered ``[Cin, B, Hp, Wp]`` buffer.  kh*kw strided slice copies then
-fill one contiguous column matrix ``cols`` of shape ``[K, N]``, with
-K = Cin*kh*kw and N = B*Ho*Wo, which is kept for the backward pass.
+conv2d is im2col plus GEMM (Chellapilla et al. 2006).  ``_im2col`` reads
+the input channel-major, ``[Cin, B, H, W]``, copies it into a zero-bordered
+buffer when padded, and fills one contiguous column matrix ``cols`` of
+shape ``[K, N]`` with kh*kw strided slice copies (K = Cin*kh*kw,
+N = B*Ho*Wo); ``cols`` is kept for the backward pass.
 
 * forward: one 2-D GEMM ``w2 @ cols`` (``w2`` is the weight as
   ``[Cout, K]``), then one transposed copy back to contiguous NCHW;
-* backward: the upstream gradient as ``g2 = [Cout, N]`` gives
-  ``gw = g2 @ cols.T`` and ``gcol = w2.T @ g2``, two 2-D GEMMs; col2im is
-  kh*kw strided adds of ``gcol`` into a ``[Cin, B, Hp, Wp]`` buffer,
-  followed by the crop of the padding.
+* weight and bias gradients: the upstream gradient as ``g2 = [Cout, N]``
+  gives ``gw = g2 @ cols.T`` and ``gb`` as its row sums;
+* input gradient, stride 1 with ``pad < kh`` and ``pad < kw``: a full
+  correlation of ``g`` with the flipped, channel-transposed weight.
+  ``_im2col`` of ``g`` padded by ``(kh-1-pad, kw-1-pad)`` gives a
+  ``[Cout*kh*kw, B*H*W]`` matrix, and one GEMM maps it to ``[Cin, B, H, W]``.
+  Nothing is scatter-added;
+* input gradient otherwise (the strided convs, or ``pad >= kh`` or
+  ``pad >= kw``): ``gcol = w2.T @ g2``, then col2im as kh*kw strided adds
+  into a ``[Cin, B, Hp, Wp]`` buffer and the crop of the padding.
 
 So the numpy call count stays O(kh*kw) whatever the image size.
+
+ROI pooling (and adaptive pooling, its full-map case) sums bins with
+``np.add.reduceat`` and spreads gradients with ``np.repeat``; see
+``roi_avg_pool``.
 
 The compute dtype follows ``x``: conv2d and linear cast their weight and
 bias to ``x``'s dtype before the GEMMs, and every buffer (padding,
@@ -70,6 +80,38 @@ def conv_out_size(size: int, kernel: int, stride: int, pad: int) -> int:
     return out
 
 
+def _im2col(xt: np.ndarray, kh: int, kw: int, stride: int, ph: int, pw: int,
+            Ho: int, Wo: int) -> np.ndarray:
+    """Column matrix ``[C*kh*kw, B*Ho*Wo]`` of a channel-major ``[C, B, H, W]`` array.
+
+    The input is zero-padded by ``ph`` rows and ``pw`` columns on each side;
+    cols[(c, i, j), (b, oy, ox)] = xp[c, b, i + stride*oy, j + stride*ox].
+    """
+    C, B, H, W = xt.shape
+    if ph or pw:
+        xp = np.zeros((C, B, H + 2 * ph, W + 2 * pw), dtype=xt.dtype)
+        xp[:, :, ph:ph + H, pw:pw + W] = xt
+    else:
+        xp = xt
+    cols6 = np.empty((C, kh, kw, B, Ho, Wo), dtype=xt.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            cols6[:, i, j] = xp[:, :, i:i + stride * Ho:stride, j:j + stride * Wo:stride]
+    return cols6.reshape(C * kh * kw, B * Ho * Wo)
+
+
+def _col2im(gcol: np.ndarray, x_shape: tuple, kh: int, kw: int, stride: int, pad: int,
+            Ho: int, Wo: int) -> np.ndarray:
+    """Scatter-add ``[Cin*kh*kw, B*Ho*Wo]`` patch gradients back onto an NCHW input."""
+    B, Cin, H, W = x_shape
+    gcol6 = gcol.reshape(Cin, kh, kw, B, Ho, Wo)
+    gxp = np.zeros((Cin, B, H + 2 * pad, W + 2 * pad), dtype=gcol.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            gxp[:, :, i:i + stride * Ho:stride, j:j + stride * Wo:stride] += gcol6[:, i, j]
+    return gxp[:, :, pad:pad + H, pad:pad + W].transpose(1, 0, 2, 3)
+
+
 def conv2d(x, weight, bias=None, stride: int = 1, pad: int = 0) -> Tensor:
     """2-D cross-correlation. x: [B,Cin,H,W], weight: [Cout,Cin,kh,kw], bias: [Cout]."""
     x, weight = _as_tensor(x), _as_tensor(weight)
@@ -86,23 +128,10 @@ def conv2d(x, weight, bias=None, stride: int = 1, pad: int = 0) -> Tensor:
         raise ShapeError(f"conv2d invalid stride={stride} pad={pad}")
     Ho = conv_out_size(H, kh, stride, pad)
     Wo = conv_out_size(W, kw, stride, pad)
-    Hp, Wp = H + 2 * pad, W + 2 * pad
     K, N = Cin * kh * kw, B * Ho * Wo
     dt = x.data.dtype
 
-    # channel-major input [Cin, B, Hp, Wp]; padding is a zero border
-    xt = x.data.transpose(1, 0, 2, 3)
-    if pad:
-        xp = np.zeros((Cin, B, Hp, Wp), dtype=dt)
-        xp[:, :, pad:pad + H, pad:pad + W] = xt
-    else:
-        xp = xt
-    # im2col: cols[(ci, i, j), (b, oy, ox)] = xp[ci, b, i + stride*oy, j + stride*ox]
-    cols6 = np.empty((Cin, kh, kw, B, Ho, Wo), dtype=dt)
-    for i in range(kh):
-        for j in range(kw):
-            cols6[:, i, j] = xp[:, :, i:i + stride * Ho:stride, j:j + stride * Wo:stride]
-    cols = cols6.reshape(K, N)
+    cols = _im2col(x.data.transpose(1, 0, 2, 3), kh, kw, stride, pad, pad, Ho, Wo)
     w2 = weight.data.reshape(Cout, K).astype(dt, copy=False)
     out2 = w2 @ cols  # [Cout, N]
     if b_t is not None:
@@ -116,14 +145,17 @@ def conv2d(x, weight, bias=None, stride: int = 1, pad: int = 0) -> Tensor:
             _accumulate(weight, (g2 @ cols.T).reshape(weight.shape))
         if b_t is not None and b_t.requires_grad:
             _accumulate(b_t, g2.sum(axis=1))
-        if x.requires_grad:
-            # col2im: scatter-add each kernel tap's patch gradients back
-            gcol = (w2.T @ g2).reshape(Cin, kh, kw, B, Ho, Wo)
-            gxp = np.zeros((Cin, B, Hp, Wp), dtype=dt)
-            for i in range(kh):
-                for j in range(kw):
-                    gxp[:, :, i:i + stride * Ho:stride, j:j + stride * Wo:stride] += gcol[:, i, j]
-            _accumulate(x, gxp[:, :, pad:pad + H, pad:pad + W].transpose(1, 0, 2, 3))
+        if not x.requires_grad:
+            return
+        if stride == 1 and pad < kh and pad < kw:
+            # full correlation of g with the flipped, channel-transposed weight
+            wf = w2.reshape(Cout, Cin, kh, kw).transpose(1, 0, 2, 3)[:, :, ::-1, ::-1]
+            gcols = _im2col(g2.reshape(Cout, B, Ho, Wo), kh, kw, 1,
+                            kh - 1 - pad, kw - 1 - pad, H, W)
+            gx = (wf.reshape(Cin, Cout * kh * kw) @ gcols).reshape(Cin, B, H, W)
+            _accumulate(x, gx.transpose(1, 0, 2, 3))
+        else:
+            _accumulate(x, _col2im(w2.T @ g2, x.shape, kh, kw, stride, pad, Ho, Wo))
 
     parents = (x, weight) if b_t is None else (x, weight, b_t)
     return _make_op(out_data, parents, bwd, "conv2d")
@@ -178,29 +210,34 @@ def adaptive_avg_pool(x, out_hw: tuple) -> Tensor:
 
 
 def roi_avg_pool(x, rect: Rect, out_hw: tuple) -> Tensor:
-    """Adaptive average pooling restricted to a rectangular window of the map."""
+    """Adaptive average pooling restricted to a rectangular window of the map.
+
+    The window is sliced once and summed bin by bin with ``np.add.reduceat``
+    at the row bin starts, then at the column bin starts; dividing by the
+    bin areas gives the means.  The backward pass expands ``g / area`` with
+    ``np.repeat`` by the bin heights and widths into the window of one zero
+    buffer.  Neither pass loops over bins in Python.
+    """
     x = _as_tensor(x)
     if x.data.ndim != 4:
         raise ShapeError(f"roi_avg_pool expects 4-D input, got {x.shape}")
-    B, C, H, W = x.shape
+    H, W = x.shape[2:]
     if rect.bottom > H or rect.right > W:
         raise ShapeError(f"rect {rect} exceeds feature map {H}x{W}")
     oh, ow = out_hw
-    he = _check_bins(rect.height, oh, "roi_avg_pool rows") + rect.top
-    we = _check_bins(rect.width, ow, "roi_avg_pool cols") + rect.left
-    out_data = np.empty((B, C, oh, ow), dtype=x.data.dtype)
-    for i in range(oh):
-        for j in range(ow):
-            out_data[:, :, i, j] = x.data[:, :, he[i]:he[i + 1], we[j]:we[j + 1]].mean(axis=(2, 3))
+    he = _check_bins(rect.height, oh, "roi_avg_pool rows")
+    we = _check_bins(rect.width, ow, "roi_avg_pool cols")
+    bin_h, bin_w = np.diff(he), np.diff(we)
+    area = np.outer(bin_h, bin_w).astype(x.data.dtype)
+    window = np.s_[:, :, rect.top:rect.bottom, rect.left:rect.right]
+    sums = np.add.reduceat(np.add.reduceat(x.data[window], he[:-1], axis=2), we[:-1], axis=3)
+    out_data = sums / area
 
     def bwd(g):
         if not x.requires_grad:
             return
         gx = np.zeros_like(x.data)
-        for i in range(oh):
-            for j in range(ow):
-                n = (he[i + 1] - he[i]) * (we[j + 1] - we[j])
-                gx[:, :, he[i]:he[i + 1], we[j]:we[j + 1]] += (g[:, :, i, j] / n)[:, :, None, None]
+        gx[window] = np.repeat(np.repeat(g / area, bin_h, axis=2), bin_w, axis=3)
         _accumulate(x, gx)
 
     return _make_op(out_data, (x,), bwd, "roi_avg_pool")

@@ -4,11 +4,13 @@ A :class:`Tensor` wraps a float32 or float64 numpy array plus an optional
 gradient buffer; any other input is converted to float64.  The compute
 dtype follows the data: elementwise ops and matmul take numpy's promotion
 of their operands, with a Python int or float taking the other operand's
-dtype, and conv2d and linear cast their weights to the input's dtype.  So
-a float32 batch runs float32 end to end, while float64 inputs (gradient
-checks, oracle tests) stay float64.  A gradient buffer always has
-its tensor's dtype: a float64 parameter used by a float32 op still
-accumulates a float64 gradient.  ``astype`` is the taped cast between the
+dtype, and conv2d and linear cast their weights to the input's dtype.  A
+numpy array or scalar on either side of an operator is an ordinary operand
+(numpy defers to the Tensor's reflected operators), so a float64 one
+promotes a float32 tensor.  So a float32 batch runs float32 end to end,
+while float64 inputs (gradient checks, oracle tests) stay float64.  A
+gradient buffer always has its tensor's dtype: a float64 parameter used
+by a float32 op still accumulates a float64 gradient.  ``astype`` is the taped cast between the
 two.
 
 Differentiable operations record nodes onto the active :class:`Tape` in
@@ -66,6 +68,8 @@ class Tensor:
     """float32 or float64 n-dimensional array with an optional gradient buffer."""
 
     __slots__ = ("data", "grad", "requires_grad", "name")
+    # numpy defers to the reflected operators, so ``ndarray * Tensor`` is a Tensor
+    __array_ufunc__ = None
 
     def __init__(self, data, requires_grad: bool = False, name: Optional[str] = None):
         arr = _as_float(data)

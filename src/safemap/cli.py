@@ -33,6 +33,8 @@ import sys
 from pathlib import Path
 from typing import Optional
 
+import numpy as np
+
 from .adapt import AdaptError, pseudo_label, train_dam_da
 from .autodiff import (
     CheckpointError,
@@ -56,7 +58,7 @@ from .geo.ppm import PpmError, read_ppm
 from .geo.records import IngestError, ingest_accidents
 from .geo.synth import SynthError, synth_generate
 from .model.config import ConfigError
-from .model.network import init_params, predict
+from .model.network import DamParams, param_layout, predict
 # not called here, but the traced benchmark (bench/layers.py TARGETS) wraps it
 from .model.network import forward  # noqa: F401
 from .model.training import (
@@ -86,7 +88,7 @@ EXIT_DATA = 2
 DATA_ERRORS = (IngestError, GridError, LabelingError, ManifestError, SynthError,
                TrainError, AdaptError, ConfigError, CamError, ExportError,
                MetricsError, CheckpointError, TensorError, NonFiniteError,
-               PpmError, FileNotFoundError, IsADirectoryError, PermissionError)
+               PpmError, OSError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -248,9 +250,11 @@ def cmd_synth(cfg: RunConfig, run: RunDir) -> None:
 
 
 def _load_params(cfg: RunConfig):
-    """Initialize from the model section and restore checkpoint weights."""
-    params = init_params(cfg.model, seed=0)
+    """Lay out the model section's parameters and restore checkpoint weights."""
     loaded, meta = load_checkpoint(_require(cfg.paths.checkpoint, "checkpoint"))
+    params = DamParams()
+    for name, shape, _ in param_layout(cfg.model):
+        params.add(name, np.zeros(shape))
     restore_params(params.all(), loaded)
     return params, meta
 
@@ -410,6 +414,8 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.seed is not None and args.seed < 0:
+        parser.error(f"argument --seed: must be non-negative, got {args.seed}")
     try:
         config = load_run_config(args.config)
         if args.seed is not None:
@@ -422,10 +428,10 @@ def main(argv=None) -> int:
     except OSError as e:
         print(f"safemap: cannot create run directory: {e}", file=sys.stderr)
         return EXIT_DATA
-    run.path("config.resolved.json").write_text(dumps_resolved(config),
-                                                encoding="utf-8")
     try:
         try:
+            run.path("config.resolved.json").write_text(dumps_resolved(config),
+                                                        encoding="utf-8")
             args.handler(config, run)
         finally:
             # declare whatever was produced, even on failure: no orphans

@@ -74,47 +74,49 @@ class DamParams:
         return [self._params["local.fc.weight"], self._params["local.fc.bias"]]
 
 
-def _he_conv(rng: np.random.Generator, cout: int, cin: int, k: int) -> np.ndarray:
-    std = np.sqrt(2.0 / (cin * k * k))
-    return rng.normal(0.0, std, size=(cout, cin, k, k))
+def param_layout(config: DamConfig) -> list[tuple[str, tuple[int, ...], int]]:
+    """(name, shape, fan-in) of every parameter, in construction order.
 
+    A fan-in of 0 marks a bias, which starts at zero; every other parameter
+    is drawn He-normal with standard deviation sqrt(2 / fan-in).
+    """
+    layout = []
 
-def _he_linear(rng: np.random.Generator, fout: int, fin: int) -> np.ndarray:
-    std = np.sqrt(2.0 / fin)
-    return rng.normal(0.0, std, size=(fout, fin))
+    def conv(name, cout, cin, k):
+        layout.append((f"{name}.weight", (cout, cin, k, k), cin * k * k))
+        layout.append((f"{name}.bias", (cout,), 0))
+
+    def fc(name, fout, fin):
+        layout.append((f"{name}.weight", (fout, fin), fin))
+        layout.append((f"{name}.bias", (fout,), 0))
+
+    cin = IN_CHANNELS
+    for i, width in enumerate(config.stage_widths, start=1):
+        conv(f"stage{i}.down", width, cin, 3)
+        conv(f"stage{i}.res1", width, width, 3)
+        conv(f"stage{i}.res2", width, width, 3)
+        cin = width
+    if config.use_local:
+        l1, l2 = config.active_local_widths
+        conv("local.conv1", l1, config.stage_widths[1], 3)
+        conv("local.conv2", l2, l1, 3)
+        fc("local.fc", NUM_CLASSES, l2)
+    if config.da_mode:
+        r1, r2 = config.da_reduce_widths
+        conv("da.reduce1", r1, config.fused_channels, 1)
+        conv("da.reduce2", r2, r1, 1)
+    fc("head.fc", config.d, config.head_in_channels)
+    fc("head.classifier", NUM_CLASSES, config.d)
+    return layout
 
 
 def init_params(config: DamConfig, seed: int = 0) -> DamParams:
     """He-normal weights, zero biases, in a fixed deterministic order."""
     rng = np.random.default_rng([seed, 0])
     p = DamParams()
-    cin = IN_CHANNELS
-    for i, width in enumerate(config.stage_widths, start=1):
-        p.add(f"stage{i}.down.weight", _he_conv(rng, width, cin, 3))
-        p.add(f"stage{i}.down.bias", np.zeros(width))
-        p.add(f"stage{i}.res1.weight", _he_conv(rng, width, width, 3))
-        p.add(f"stage{i}.res1.bias", np.zeros(width))
-        p.add(f"stage{i}.res2.weight", _he_conv(rng, width, width, 3))
-        p.add(f"stage{i}.res2.bias", np.zeros(width))
-        cin = width
-    if config.use_local:
-        l1, l2 = config.active_local_widths
-        p.add("local.conv1.weight", _he_conv(rng, l1, config.stage_widths[1], 3))
-        p.add("local.conv1.bias", np.zeros(l1))
-        p.add("local.conv2.weight", _he_conv(rng, l2, l1, 3))
-        p.add("local.conv2.bias", np.zeros(l2))
-        p.add("local.fc.weight", _he_linear(rng, NUM_CLASSES, l2))
-        p.add("local.fc.bias", np.zeros(NUM_CLASSES))
-    if config.da_mode:
-        r1, r2 = config.da_reduce_widths
-        p.add("da.reduce1.weight", _he_conv(rng, r1, config.fused_channels, 1))
-        p.add("da.reduce1.bias", np.zeros(r1))
-        p.add("da.reduce2.weight", _he_conv(rng, r2, r1, 1))
-        p.add("da.reduce2.bias", np.zeros(r2))
-    p.add("head.fc.weight", _he_linear(rng, config.d, config.head_in_channels))
-    p.add("head.fc.bias", np.zeros(config.d))
-    p.add("head.classifier.weight", _he_linear(rng, NUM_CLASSES, config.d))
-    p.add("head.classifier.bias", np.zeros(NUM_CLASSES))
+    for name, shape, fan_in in param_layout(config):
+        p.add(name, rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape) if fan_in
+              else np.zeros(shape))
     return p
 
 

@@ -59,6 +59,8 @@ class TrainConfig:
             if not 0 < getattr(self, name) < math.inf:
                 raise TrainError(f"{name} must be positive and finite, "
                                  f"got {getattr(self, name)}")
+        if self.seed < 0:
+            raise TrainError(f"seed must be non-negative, got {self.seed}")
 
     def lr_at(self, epoch: int) -> float:
         return step_decay_lr(self.lr0, epoch, self.lr_decay, self.lr_decay_every)

@@ -40,11 +40,20 @@ class RunConfigError(ValueError):
     """Malformed run configuration; a usage error, not a data error."""
 
 
+def _check_seed(seed: int) -> None:
+    # numpy's generators take only non-negative seeds
+    if seed < 0:
+        raise RunConfigError(f"seed must be non-negative, got {seed}")
+
+
 @dataclass(frozen=True)
 class PipelineSection:
     cell_size_m: float = 30.0
     split_fractions: tuple[float, float, float] = (0.7, 0.15, 0.15)
     seed: int = 0
+
+    def __post_init__(self):
+        _check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -54,6 +63,9 @@ class SynthSection:
     jitter_px: int = 0
     domain_style: str = "source"
     seed: int = 0
+
+    def __post_init__(self):
+        _check_seed(self.seed)
 
 
 @dataclass(frozen=True)

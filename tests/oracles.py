@@ -81,6 +81,25 @@ def roi_avg_pool_naive(x: np.ndarray, top: int, bottom: int, left: int, right: i
     return adaptive_avg_pool_naive(x[:, :, top:bottom, left:right], oh, ow)
 
 
+def roi_avg_pool_backward_naive(x_shape: tuple, g: np.ndarray, top: int, bottom: int,
+                                left: int, right: int) -> np.ndarray:
+    """Gradient of sum(g * roi_avg_pool(x)) with respect to x, one pixel at a time."""
+    B, C, _, _ = x_shape
+    _, _, oh, ow = g.shape
+    rows = pool_bins(bottom - top, oh)
+    cols = pool_bins(right - left, ow)
+    gx = np.zeros(x_shape)
+    for n in range(B):
+        for c in range(C):
+            for i, (r0, r1) in enumerate(rows):
+                for j, (c0, c1) in enumerate(cols):
+                    count = (r1 - r0) * (c1 - c0)
+                    for r in range(r0, r1):
+                        for s in range(c0, c1):
+                            gx[n, c, top + r, left + s] += g[n, c, i, j] / count
+    return gx
+
+
 def cross_entropy_naive(logits: np.ndarray, labels: np.ndarray) -> float:
     B, K = logits.shape
     total = 0.0

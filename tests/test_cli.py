@@ -4,14 +4,24 @@ import dataclasses
 import json
 import os
 
+import numpy as np
 import pytest
 
 from safemap.autodiff import save_checkpoint
-from safemap.cli import COMMANDS, EXIT_DATA, EXIT_OK, EXIT_USAGE, build_parser, main
+from safemap.cli import (
+    COMMANDS,
+    EXIT_DATA,
+    EXIT_OK,
+    EXIT_USAGE,
+    _load_params,
+    build_parser,
+    main,
+)
 from safemap.geo.grid import GridSpec
 from safemap.geo.manifest import load_manifest, save_manifest
 from safemap.model.config import DamConfig
 from safemap.model.network import init_params
+from safemap.runconfig import PathsSection, RunConfig
 
 from oracles import kmeans2_best_split
 
@@ -76,6 +86,17 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             main(["synth"])
         assert exc.value.code == EXIT_USAGE
+
+    def test_negative_seed_flag_exits_1(self, tmp_path, capsys):
+        # used to end in numpy's "expected non-negative integer" traceback
+        cfg = write_config(tmp_path / "c.json", {"paths": {"run_dir": str(tmp_path / "run")}})
+        with pytest.raises(SystemExit) as exc:
+            main(["synth", "--config", cfg, "--seed", "-3"])
+        assert exc.value.code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "argument --seed: must be non-negative, got -3" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "run").exists()
 
 
 class TestConfigErrors:
@@ -167,6 +188,11 @@ class TestConfigErrors:
         ("cam", "class_index", None),
         # used to exit 2 only after the manifest had loaded
         ("eval", "split", "bogus"),
+        # each used to load, then end in numpy's "expected non-negative integer" traceback
+        ("pipeline", "seed", -1),
+        ("synth", "seed", -1),
+        ("train", "seed", -1),
+        ("da", "seed", -1),
     ])
     def test_bad_value_fails_at_load(self, tmp_path, capsys, section, key, value):
         doc = {section: {key: value}}
@@ -524,3 +550,61 @@ class TestTraining:
         declared = json.loads((run / "run_manifest.json").read_text())["files"]
         assert declared == ["config.resolved.json"]
         assert_no_orphans(run)
+
+
+class _NormalSpy:
+    """A numpy Generator that records every ``normal`` draw."""
+
+    def __init__(self, rng, draws):
+        self._rng, self._draws = rng, draws
+
+    def __getattr__(self, name):
+        if name == "normal":
+            self._draws.append(name)
+        return getattr(self._rng, name)
+
+
+class TestLoadParams:
+    def checkpoint(self, tmp_path, model):
+        ckpt = tmp_path / "m.ckpt"
+        save_checkpoint(ckpt, init_params(DamConfig.from_dict(model), seed=5).all())
+        return ckpt
+
+    def test_restores_checkpoint_without_drawing_weights(self, tmp_path, monkeypatch):
+        ckpt = self.checkpoint(tmp_path, SMALL_MODEL)
+        cfg = RunConfig(model=DamConfig.from_dict(SMALL_MODEL),
+                        paths=PathsSection(checkpoint=str(ckpt)))
+        draws = []
+        real_rng = np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda *a, **k: _NormalSpy(real_rng(*a, **k), draws))
+        params, _ = _load_params(cfg)
+        assert draws == []
+        expected = init_params(cfg.model, seed=5)
+        assert draws  # the spy sees the draws of a real initialization
+        assert [p.name for p in params.all()] == [p.name for p in expected.all()]
+        for got, want in zip(params.all(), expected.all()):
+            assert got.data.tobytes() == want.data.tobytes()
+            assert got.requires_grad and got.grad is None
+
+    @pytest.mark.parametrize("ckpt_model,model,message", [
+        (SMALL_MODEL, SMALL_DA_MODEL, "parameter set mismatch: missing from file "
+         "['da.reduce1.bias', 'da.reduce1.weight', 'da.reduce2.bias', 'da.reduce2.weight'], "
+         "unexpected in file []"),
+        (SMALL_DA_MODEL, SMALL_MODEL, "parameter set mismatch: missing from file [], "
+         "unexpected in file ['da.reduce1.bias', 'da.reduce1.weight', 'da.reduce2.bias', "
+         "'da.reduce2.weight']"),
+        (SMALL_MODEL, dict(SMALL_MODEL, d=9), "shape mismatch for 'head.fc.weight': "
+         "model (9, 16), file (8, 16)"),
+    ])
+    def test_mismatched_checkpoint_exits_2(self, tmp_path, capsys, ckpt_model, model,
+                                           message):
+        ckpt = self.checkpoint(tmp_path, ckpt_model)
+        cfg = write_config(tmp_path / "cam.json", {
+            "model": model,
+            "paths": {"run_dir": str(tmp_path / "c"), "checkpoint": str(ckpt),
+                      "image": str(tmp_path / "tile.ppm")}})
+        (tmp_path / "tile.ppm").write_bytes(b"P6\n64 64\n255\n" + bytes(64 * 64 * 3))
+        assert main(["cam", "--config", cfg]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"safemap: error: {message}\n" == err

@@ -135,8 +135,8 @@ A3,05/01/2019,12:00,6,51.5008,-0.1195,3,2
 @pytest.mark.parametrize("sub,artifact", [
     ("ingest", "records.jsonl"), ("grid", "scores.csv"), ("label", "labels.csv"),
 ])
-def test_failed_cli_artifact_write_keeps_previous_file(tmp_path, fail_writes_to, sub,
-                                                       artifact):
+def test_failed_cli_artifact_write_keeps_previous_file(tmp_path, fail_writes_to, capsys,
+                                                       sub, artifact):
     (tmp_path / "acc.csv").write_text(ACCIDENTS_CSV, encoding="utf-8")
     run = tmp_path / "run"
     cfg = tmp_path / "c.json"
@@ -147,8 +147,11 @@ def test_failed_cli_artifact_write_keeps_previous_file(tmp_path, fail_writes_to,
         assert main([step, "--config", str(cfg)]) == 0
     before = (run / artifact).read_bytes()
     fail_writes_to(artifact)
-    with pytest.raises(OSError, match="No space"):
-        main([sub, "--config", str(cfg)])
+    capsys.readouterr()
+    # a failed write is a data error: exit 2, one line, no traceback
+    assert main([sub, "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "No space left on device" in err and "Traceback" not in err
     _assert_kept(run / artifact, before)
 
 

@@ -4,7 +4,9 @@ Derived expectations are frozen from the brute-force oracles in oracles.py;
 the random-shape tests recompute the oracle inline.
 """
 
+import itertools
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -33,11 +35,13 @@ from safemap.autodiff import (
     softmax_cross_entropy,
     tensor_sum,
 )
+from safemap.autodiff import nn_ops
 from oracles import (
     adaptive_avg_pool_naive,
     conv2d_backward_naive,
     conv2d_naive,
     cross_entropy_naive,
+    roi_avg_pool_backward_naive,
     roi_avg_pool_naive,
 )
 
@@ -113,6 +117,28 @@ class TestConv2dBackward:
         assert out.data.flags.c_contiguous
         np.testing.assert_allclose(out.data, conv2d_naive(x.data, w.data, b.data, stride, pad),
                                    rtol=0, atol=1e-12)
+
+    def test_grid_runs_both_input_gradient_paths(self, monkeypatch):
+        """The oracle grid above covers the stride-1 full correlation and col2im.
+
+        col2im runs exactly for strided convs and for pad >= kernel (a 1x1
+        kernel at pad 1 or 2, a 2x3 kernel at pad 2).
+        """
+        grid = {m.args[0]: m.args[1] for m in self.test_matches_naive_oracle.pytestmark}
+        real_col2im = nn_ops._col2im
+        calls = []
+        monkeypatch.setattr(nn_ops, "_col2im",
+                            lambda *args: calls.append(args) or real_col2im(*args))
+        seen = set()
+        for stride, pad, kernel in itertools.product(grid["stride"], grid["pad"],
+                                                     grid["kernel"]):
+            calls.clear()
+            x = parameter(np.ones((1, 2, 7, 9)), name="x")
+            w = parameter(np.ones((3, 2) + kernel), name="w")
+            _conv_backward(x, w, None, stride, pad, seed=0)
+            seen.add((stride == 1, pad < min(kernel), bool(calls)))
+        assert seen == {(True, True, False), (True, False, True),
+                        (False, True, True), (False, False, True)}
 
     @pytest.mark.parametrize("stride,pad", [(1, 1), (2, 0)])
     def test_input_without_grad(self, stride, pad):
@@ -323,6 +349,83 @@ class TestRoiAvgPool:
     def test_region_smaller_than_output_rejected(self):
         with pytest.raises(ShapeError, match="empty bins"):
             roi_avg_pool(Tensor(np.zeros((1, 1, 8, 8))), Rect(0, 4, 0, 4), (7, 7))
+
+
+# (map hw, rect, out hw): a rect grid, then the model's own shapes, the
+# SQ4 blocks of the 31x31 stage-2 map and the 7x7 -> 7x7 fusion pool
+ROI_CASES = [
+    ((10, 9), Rect(1, 6, 2, 7), (3, 3)),
+    ((10, 9), Rect(0, 9, 0, 4), (7, 2)),
+    ((10, 9), Rect(3, 10, 1, 8), (7, 7)),
+    ((31, 31), Rect(0, 15, 0, 15), (7, 7)),
+    ((31, 31), Rect(0, 15, 15, 31), (7, 7)),
+    ((31, 31), Rect(15, 31, 0, 15), (7, 7)),
+    ((31, 31), Rect(15, 31, 15, 31), (7, 7)),
+    ((7, 7), Rect(0, 7, 0, 7), (7, 7)),
+]
+
+
+def _roi_backward(x, rect, out_hw, seed):
+    """Run roi_avg_pool and backpropagate a random upstream gradient g; returns (out, g)."""
+    with Tape():
+        out = roi_avg_pool(x, rect, out_hw)
+        g = np.random.default_rng(seed).normal(size=out.shape)
+        backward(tensor_sum(out * Tensor(g)))
+    return out, g
+
+
+class TestRoiAvgPoolBackward:
+    """Gradients of the reduceat/repeat pooling against the plain-loop oracle."""
+
+    @pytest.mark.parametrize("hw,rect,out_hw", ROI_CASES)
+    def test_matches_naive_oracle(self, hw, rect, out_hw):
+        rng = np.random.default_rng([hw[0], rect.top, rect.left])
+        x = parameter(rng.normal(size=(2, 3, *hw)), name="x")
+        out, g = _roi_backward(x, rect, out_hw, seed=1)
+        box = (rect.top, rect.bottom, rect.left, rect.right)
+        np.testing.assert_allclose(out.data, roi_avg_pool_naive(x.data, *box, *out_hw),
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(x.grad, roi_avg_pool_backward_naive(x.shape, g, *box),
+                                   rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("hw,rect,out_hw", ROI_CASES)
+    def test_float32_matches_float64_oracle(self, hw, rect, out_hw):
+        rng = np.random.default_rng([hw[0], rect.top, rect.left])
+        x = Tensor(rng.normal(size=(2, 3, *hw)).astype(np.float32), requires_grad=True)
+        out, g = _roi_backward(x, rect, out_hw, seed=1)
+        assert out.data.dtype == np.float32 and x.grad.dtype == np.float32
+        box = (rect.top, rect.bottom, rect.left, rect.right)
+        _close32(out.data, roi_avg_pool_naive(x.data.astype(np.float64), *box, *out_hw))
+        g32 = g.astype(np.float32).astype(np.float64)  # the upstream gradient the pool saw
+        _close32(x.grad, roi_avg_pool_backward_naive(x.shape, g32, *box))
+
+
+class TestNdarrayLeftOperand:
+    """numpy defers to Tensor's reflected operators instead of looping over it."""
+
+    @pytest.mark.parametrize("op,value,grad", [
+        (operator.add, [2.5, 4.5], [1.0, 1.0]),
+        (operator.sub, [-1.5, 3.5], [-1.0, -1.0]),
+        (operator.mul, [1.0, 2.0], [0.5, 4.0]),
+        (operator.truediv, [0.25, 8.0], [-0.125, -16.0]),
+    ])
+    def test_result_is_a_taped_tensor(self, op, value, grad):
+        t = parameter(np.array([2.0, 0.5]), name="t")
+        with Tape():
+            out = op(np.array([0.5, 4.0]), t)
+            backward(tensor_sum(out))
+        assert isinstance(out, Tensor)
+        np.testing.assert_array_equal(out.data, value)
+        np.testing.assert_array_equal(t.grad, grad)
+
+    @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul,
+                                    operator.truediv])
+    def test_float64_operand_promotes_float32_tensor(self, op):
+        t = Tensor(np.array([2.0, 0.5], dtype=np.float32))
+        assert op(np.array([0.5, 4.0]), t).data.dtype == np.float64
+        assert op(np.float64(0.5), t).data.dtype == np.float64
+        assert op(np.array([0.5, 4.0], dtype=np.float32), t).data.dtype == np.float32
+        assert op(0.5, t).data.dtype == np.float32  # a Python float stays weak
 
 
 class TestChannelConcat:

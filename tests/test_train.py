@@ -52,6 +52,8 @@ class TestDefaults:
             TrainConfig(batch_size=0)
         with pytest.raises(TrainError):
             TrainConfig(lr0=0.0)
+        with pytest.raises(TrainError, match="seed must be non-negative"):
+            TrainConfig(seed=-1)
 
     @pytest.mark.parametrize("value", [0, -4])
     def test_bad_eval_batch_size_rejected(self, value):
