@@ -24,9 +24,8 @@ N = B*Ho*Wo); ``cols`` is kept for the backward pass.
 
 So the numpy call count stays O(kh*kw) whatever the image size.
 
-ROI pooling (and adaptive pooling, its full-map case) sums bins with
-``np.add.reduceat`` and spreads gradients with ``np.repeat``; see
-``roi_avg_pool``.
+ROI pooling (and adaptive pooling, its full-map case) sums bins and
+spreads gradients with products by 0/1 bin matrices; see ``roi_avg_pool``.
 
 The compute dtype follows ``x``: conv2d and linear cast their weight and
 bias to ``x``'s dtype before the GEMMs, and every buffer (padding,
@@ -209,14 +208,19 @@ def adaptive_avg_pool(x, out_hw: tuple) -> Tensor:
     return roi_avg_pool(x, Rect(0, x.shape[2], 0, x.shape[3]), out_hw)
 
 
+def _bin_matrix(edges: np.ndarray, dtype) -> np.ndarray:
+    """[bins, length] 0/1 matrix; row i is 1 on bin i's span [edges[i], edges[i+1])."""
+    pos = np.arange(edges[-1])
+    return ((pos >= edges[:-1, None]) & (pos < edges[1:, None])).astype(dtype)
+
+
 def roi_avg_pool(x, rect: Rect, out_hw: tuple) -> Tensor:
     """Adaptive average pooling restricted to a rectangular window of the map.
 
-    The window is sliced once and summed bin by bin with ``np.add.reduceat``
-    at the row bin starts, then at the column bin starts; dividing by the
-    bin areas gives the means.  The backward pass expands ``g / area`` with
-    ``np.repeat`` by the bin heights and widths into the window of one zero
-    buffer.  Neither pass loops over bins in Python.
+    With 0/1 bin matrices ``Ph`` [oh, h] and ``Pw`` [ow, w], the bin sums of
+    the window are ``Ph @ window @ Pw.T``; dividing by the bin areas gives
+    the means.  The backward pass is ``Ph.T @ (g / area) @ Pw`` into the
+    window of one zero buffer.  Neither pass loops over bins in Python.
     """
     x = _as_tensor(x)
     if x.data.ndim != 4:
@@ -227,17 +231,17 @@ def roi_avg_pool(x, rect: Rect, out_hw: tuple) -> Tensor:
     oh, ow = out_hw
     he = _check_bins(rect.height, oh, "roi_avg_pool rows")
     we = _check_bins(rect.width, ow, "roi_avg_pool cols")
-    bin_h, bin_w = np.diff(he), np.diff(we)
-    area = np.outer(bin_h, bin_w).astype(x.data.dtype)
+    dtype = x.data.dtype
+    ph, pw = _bin_matrix(he, dtype), _bin_matrix(we, dtype)
+    area = np.outer(np.diff(he), np.diff(we)).astype(dtype)
     window = np.s_[:, :, rect.top:rect.bottom, rect.left:rect.right]
-    sums = np.add.reduceat(np.add.reduceat(x.data[window], he[:-1], axis=2), we[:-1], axis=3)
-    out_data = sums / area
+    out_data = ph @ x.data[window] @ pw.T / area
 
     def bwd(g):
         if not x.requires_grad:
             return
         gx = np.zeros_like(x.data)
-        gx[window] = np.repeat(np.repeat(g / area, bin_h, axis=2), bin_w, axis=3)
+        gx[window] = ph.T @ (g / area) @ pw
         _accumulate(x, gx)
 
     return _make_op(out_data, (x,), bwd, "roi_avg_pool")

@@ -55,7 +55,7 @@ from .geo.manifest import (
     save_manifest,
 )
 from .geo.ppm import PpmError, read_ppm
-from .geo.records import IngestError, ingest_accidents
+from .geo.records import IngestError, ingest_accidents, record_line
 from .geo.synth import SynthError, synth_generate
 from .model.config import ConfigError
 from .model.network import DamParams, param_layout, predict
@@ -116,9 +116,11 @@ class RunDir:
         return out
 
     def write_json(self, rel: str, obj) -> None:
-        self.path(rel).write_text(
-            json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n",
-            encoding="utf-8")
+        self.write_text(rel, json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
+
+    def write_text(self, rel: str, text: str) -> None:
+        with atomic_open(self.path(rel), "w", encoding="utf-8") as f:
+            f.write(text)
 
     def finish(self, subcommand: str) -> None:
         """Declare produced files, merging declarations of earlier runs.
@@ -167,11 +169,7 @@ def cmd_ingest(cfg: RunConfig, run: RunDir) -> None:
     result = _read_records(cfg)
     with atomic_open(run.path("records.jsonl"), "w", encoding="utf-8", newline="\n") as f:
         for r in result.records:
-            obj = {"id": r.id, "date": r.date.isoformat(),
-                   "time": r.time.strftime("%H:%M"), "day_of_week": r.day_of_week,
-                   "latitude": r.latitude, "longitude": r.longitude,
-                   "vehicles": r.vehicles, "casualties": r.casualties}
-            f.write(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
+            f.write(record_line(r))
     run.write_json("ingest_report.json",
                    {"records": len(result.records), "skipped": result.skipped})
 
@@ -193,17 +191,18 @@ def cmd_grid(cfg: RunConfig, run: RunDir) -> None:
 
 
 def _read_scores(path) -> list[tuple[int, int, int]]:
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as f:
-            reader = csv.DictReader(f)
+    with open(path, "r", encoding="utf-8", newline="") as f:
+        reader = csv.DictReader(f)
+        try:
             if reader.fieldnames is None or not {"col", "row", "score"} <= set(reader.fieldnames):
                 raise LabelingError(f"{path}: expected a col,row,score header")
-            try:
-                return [(int(r["col"]), int(r["row"]), int(r["score"])) for r in reader]
-            except (TypeError, ValueError) as e:
-                raise LabelingError(f"{path}: malformed score row: {e}") from e
-    except UnicodeDecodeError as e:
-        raise LabelingError(f"{path}: not UTF-8 text: {e}") from e
+            return [(int(r["col"]), int(r["row"]), int(r["score"])) for r in reader]
+        except UnicodeDecodeError as e:
+            raise LabelingError(f"{path}: not UTF-8 text: {e}") from e
+        except (TypeError, ValueError) as e:
+            raise LabelingError(f"{path}: malformed score row: {e}") from e
+        except csv.Error as e:
+            raise LabelingError(f"{path}: line {reader.reader.line_num}: {e}") from e
 
 
 def cmd_label(cfg: RunConfig, run: RunDir) -> None:
@@ -430,8 +429,7 @@ def main(argv=None) -> int:
         return EXIT_DATA
     try:
         try:
-            run.path("config.resolved.json").write_text(dumps_resolved(config),
-                                                        encoding="utf-8")
+            run.write_text("config.resolved.json", dumps_resolved(config))
             args.handler(config, run)
         finally:
             # declare whatever was produced, even on failure: no orphans

@@ -6,6 +6,11 @@ y = R*radians(lat - lat0).  At city scale the distortion is negligible and
 every step is hand-checkable.  Cells are half-open s x s meter squares
 indexed (col, row) from the south-west corner; boundary points belong to
 the higher cell by the floor convention.
+
+``build_grid`` projects all records at once as float64 arrays, with the
+operations in ``GridSpec.cell_of``'s order so that every cell matches the
+scalar projection bit for bit; ``score_cells`` counts with one
+``np.bincount`` over flat cell indices.
 """
 
 from __future__ import annotations
@@ -96,28 +101,34 @@ def build_grid(records: Sequence[AccidentRecord],
     """
     if not records:
         raise GridError("build_grid needs at least one record")
-    lats = [r.latitude for r in records]
-    lons = [r.longitude for r in records]
-    lat0 = (min(lats) + max(lats)) / 2.0
-    lon0 = (min(lons) + max(lons)) / 2.0
+    lats = np.array([r.latitude for r in records], dtype=np.float64)
+    lons = np.array([r.longitude for r in records], dtype=np.float64)
+    lat0 = (float(lats.min()) + float(lats.max())) / 2.0
+    lon0 = (float(lons.min()) + float(lons.max())) / 2.0
     m_per_deg_lat = EARTH_RADIUS_M * math.pi / 180.0
     m_per_deg_lon = m_per_deg_lat * math.cos(math.radians(lat0))
-    xs = [(lon - lon0) * m_per_deg_lon for lon in lons]
-    ys = [(lat - lat0) * m_per_deg_lat for lat in lats]
+    min_x = float(((lons - lon0) * m_per_deg_lon).min())
+    min_y = float(((lats - lat0) * m_per_deg_lat).min())
     # Grid origin = inverse projection of the bounding-box minimum corner.
-    origin_lon = lon0 + min(xs) / m_per_deg_lon if m_per_deg_lon != 0 else lon0
-    origin_lat = lat0 + min(ys) / m_per_deg_lat
+    origin_lon = lon0 + min_x / m_per_deg_lon if m_per_deg_lon != 0 else lon0
+    origin_lat = lat0 + min_y / m_per_deg_lat
     probe = GridSpec(origin_lat=origin_lat, origin_lon=origin_lon,
                      cell_size_m=cell_size_m, columns=1, rows=1, ref_lat=lat0)
-    cells = [probe.cell_of(r.latitude, r.longitude) for r in records]
+    # GridSpec.cell_of on every record at once, in its operation order
+    cols = np.floor((lons - origin_lon) * probe._meters_per_deg_lon / cell_size_m)
+    rows = np.floor((lats - origin_lat) * probe._meters_per_deg_lat / cell_size_m)
     # Records at the minimum corner can land in cell -1 by one ulp of
     # round-trip error; clamp at zero, which the floor convention permits
     # only for the true boundary point.
-    cells = [(max(c, 0), max(r, 0)) for c, r in cells]
+    np.maximum(cols, 0.0, out=cols)
+    np.maximum(rows, 0.0, out=rows)
+    last_col, last_row = float(cols.max()), float(rows.max())
+    if not (math.isfinite(last_col) and math.isfinite(last_row)):
+        raise GridError(f"cell_size_m {cell_size_m} is too small: cell indices overflow")
+    # the spec checks the cell guard before the indices are narrowed to int64
     spec = GridSpec(origin_lat=origin_lat, origin_lon=origin_lon, cell_size_m=cell_size_m,
-                    columns=max(c for c, _ in cells) + 1, rows=max(r for _, r in cells) + 1,
-                    ref_lat=lat0)
-    return spec, cells
+                    columns=int(last_col) + 1, rows=int(last_row) + 1, ref_lat=lat0)
+    return spec, list(zip(cols.astype(np.int64).tolist(), rows.astype(np.int64).tolist()))
 
 
 class ScoredGrid:
@@ -140,9 +151,11 @@ class ScoredGrid:
 
 def score_cells(spec: GridSpec, record_cells: Sequence[tuple[int, int]]) -> ScoredGrid:
     """Count records per cell; the counts sum to the record count exactly."""
-    counts = np.zeros((spec.rows, spec.columns), dtype=np.int64)
-    for col, row in record_cells:
-        if not (0 <= col < spec.columns and 0 <= row < spec.rows):
-            raise GridError(f"cell ({col},{row}) outside {spec.columns}x{spec.rows} grid")
-        counts[row, col] += 1
-    return ScoredGrid(spec, counts)
+    cells = np.array(record_cells, dtype=np.int64).reshape(-1, 2)
+    cols, rows = cells[:, 0], cells[:, 1]
+    outside = (cols < 0) | (cols >= spec.columns) | (rows < 0) | (rows >= spec.rows)
+    if outside.any():
+        col, row = cells[int(outside.argmax())].tolist()
+        raise GridError(f"cell ({col},{row}) outside {spec.columns}x{spec.rows} grid")
+    counts = np.bincount(rows * spec.columns + cols, minlength=spec.rows * spec.columns)
+    return ScoredGrid(spec, counts.astype(np.int64, copy=False).reshape(spec.rows, spec.columns))

@@ -1,7 +1,9 @@
 """Brute-force reference implementations used to cross-check the fast paths.
 
 Everything here favors obviousness over speed: plain nested loops, no
-vectorization, no shared code with the package under test.
+vectorization, no shared code with the package under test.  The accident
+and grid oracles build the package's record and spec types, so that their
+results compare equal, but parse, project and count on their own.
 """
 
 from __future__ import annotations
@@ -216,3 +218,100 @@ def coral_cov_naive(feats: np.ndarray) -> np.ndarray:
     """Centered feature covariance with the n-1 denominator."""
     centered = feats - feats.mean(axis=0)
     return centered.T @ centered / (len(feats) - 1)
+
+
+def ingest_accidents_naive(text: str):
+    """Accident CSV through ``csv.DictReader``, one dict per row.
+
+    Returns ``(records, skipped)`` or raises ``IngestError`` with the
+    package's messages.  ``OverflowError`` (a year or hour too large for
+    ``dt.date`` / ``dt.time``) counts as a malformed row.  The records are
+    the package's ``AccidentRecord`` so that they compare equal.
+    """
+    import csv
+    import datetime as dt
+    import io
+
+    from safemap.geo.records import REQUIRED_COLUMNS, AccidentRecord, IngestError
+
+    reader = csv.DictReader(io.StringIO(text, newline=""))
+    if reader.fieldnames is None:
+        raise IngestError("empty file: no header row")
+    missing = [c for c in REQUIRED_COLUMNS if c not in reader.fieldnames]
+    if missing:
+        raise IngestError(f"missing mandatory columns: {missing}")
+    records, skipped = [], 0
+    for row in reader:
+        try:
+            day, month, year = row["date"].strip().split("/")
+            hh, mm = row["time"].strip().split(":")[:2]
+            records.append(AccidentRecord(
+                id=row["id"].strip(),
+                date=dt.date(int(year), int(month), int(day)),
+                time=dt.time(int(hh), int(mm)),
+                day_of_week=int(row["day_of_week"]),
+                latitude=float(row["latitude"]),
+                longitude=float(row["longitude"]),
+                vehicles=int(row["vehicles"]),
+                casualties=int(row["casualties"])))
+        except (ValueError, KeyError, AttributeError, TypeError, OverflowError):
+            skipped += 1
+    if not records:
+        raise IngestError("no records")
+    return records, skipped
+
+
+def records_jsonl_naive(records) -> str:
+    """``records.jsonl`` as one ``json.dumps`` of a dict per record."""
+    import json
+
+    return "".join(
+        json.dumps({"id": r.id, "date": r.date.isoformat(),
+                    "time": r.time.strftime("%H:%M"), "day_of_week": r.day_of_week,
+                    "latitude": r.latitude, "longitude": r.longitude,
+                    "vehicles": r.vehicles, "casualties": r.casualties},
+                   sort_keys=True, separators=(",", ":")) + "\n"
+        for r in records)
+
+
+def build_grid_naive(records, cell_size_m: float):
+    """Bounding-box grid with one scalar projection and floor per record.
+
+    Returns ``(spec, cells)`` with the package's ``GridSpec``, whose checks
+    raise ``GridError`` for a bad cell size or too many cells.
+    """
+    from safemap.geo.grid import EARTH_RADIUS_M, GridSpec
+
+    lats = [r.latitude for r in records]
+    lons = [r.longitude for r in records]
+    lat0 = (min(lats) + max(lats)) / 2.0
+    lon0 = (min(lons) + max(lons)) / 2.0
+    m_per_deg_lat = EARTH_RADIUS_M * math.pi / 180.0
+    m_per_deg_lon = m_per_deg_lat * math.cos(math.radians(lat0))
+    origin_lon = lon0 + min((lon - lon0) * m_per_deg_lon for lon in lons) / m_per_deg_lon
+    origin_lat = lat0 + min((lat - lat0) * m_per_deg_lat for lat in lats) / m_per_deg_lat
+    GridSpec(origin_lat=origin_lat, origin_lon=origin_lon, cell_size_m=cell_size_m,
+             columns=1, rows=1, ref_lat=lat0)  # rejects a bad cell size first
+    cells = []
+    for lat, lon in zip(lats, lons):
+        x = (lon - origin_lon) * m_per_deg_lon
+        y = (lat - origin_lat) * m_per_deg_lat
+        cells.append((max(math.floor(x / cell_size_m), 0),
+                      max(math.floor(y / cell_size_m), 0)))
+    spec = GridSpec(origin_lat=origin_lat, origin_lon=origin_lon, cell_size_m=cell_size_m,
+                    columns=max(c for c, _ in cells) + 1, rows=max(r for _, r in cells) + 1,
+                    ref_lat=lat0)
+    return spec, cells
+
+
+def score_cells_naive(spec, cells) -> np.ndarray:
+    """[rows, columns] counts, one ``+= 1`` per cell; the first cell outside
+    the grid raises ``GridError``."""
+    from safemap.geo.grid import GridError
+
+    counts = np.zeros((spec.rows, spec.columns), dtype=np.int64)
+    for col, row in cells:
+        if not (0 <= col < spec.columns and 0 <= row < spec.rows):
+            raise GridError(f"cell ({col},{row}) outside {spec.columns}x{spec.rows} grid")
+        counts[row, col] += 1
+    return counts

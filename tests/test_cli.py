@@ -1,5 +1,6 @@
 """CLI contract: subcommands, exit codes, run artifacts, determinism."""
 
+import csv
 import dataclasses
 import json
 import os
@@ -347,6 +348,23 @@ class TestMalformedInputs:
         err = capsys.readouterr().err
         assert f"{bad}: not UTF-8 text" in err
         assert "Traceback" not in err
+
+
+    @pytest.mark.parametrize("sub,key,header", [
+        ("ingest", "accidents_csv", ACCIDENTS_CSV.splitlines()[0]),
+        ("grid", "accidents_csv", ACCIDENTS_CSV.splitlines()[0]),
+        ("label", "scores_csv", "col,row,score"),
+    ])
+    def test_field_over_csv_limit_is_data_error(self, tmp_path, capsys, sub, key, header):
+        bad = tmp_path / "input.csv"
+        bad.write_text(f"{header}\n{'x' * (csv.field_size_limit() + 1)}\n", encoding="utf-8")
+        cfg = write_config(tmp_path / "c.json",
+                           {"paths": {"run_dir": str(tmp_path / "run"), key: str(bad)}})
+        assert main([sub, "--config", cfg]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            f"safemap: error: {bad}: line 2: field larger than field limit "
+            f"({csv.field_size_limit()})"]
 
 
 @pytest.fixture(scope="module")

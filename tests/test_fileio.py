@@ -84,15 +84,15 @@ def test_failed_metrics_save_keeps_previous_csv(tmp_path):
     assert _listing(tmp_path) == ["metrics.csv"]
 
 
-class _DiskFullOnSecondWrite:
-    """A file whose second ``write`` call fails the way a full disk does."""
+class _DiskFullOnWrite:
+    """A file whose ``fail_on``-th ``write`` call fails the way a full disk does."""
 
-    def __init__(self, f):
-        self._f, self._writes = f, 0
+    def __init__(self, f, fail_on):
+        self._f, self._writes, self._fail_on = f, 0, fail_on
 
     def write(self, data):
         self._writes += 1
-        if self._writes == 2:
+        if self._writes == self._fail_on:
             raise OSError(errno.ENOSPC, "No space left on device")
         return self._f.write(data)
 
@@ -105,17 +105,19 @@ class _DiskFullOnSecondWrite:
 
 @pytest.fixture
 def fail_writes_to(monkeypatch):
-    """Arm ``atomic_open`` so writes to a file named ``name`` fail midway.
+    """Arm ``atomic_open`` so writes to a file named ``name`` fail midway (on
+    the second write call, or on the ``fail_on``-th).
 
     A writer that bypasses ``atomic_open`` is not armed, so its test sees no
     failure; a writer that truncates in place loses the previous bytes.
     """
     real_open = open
 
-    def arm(name):
+    def arm(name, fail_on=2):
         def fake_open(path, *args, **kwargs):
             f = real_open(path, *args, **kwargs)
-            return _DiskFullOnSecondWrite(f) if name in os.path.basename(path) else f
+            return (_DiskFullOnWrite(f, fail_on) if name in os.path.basename(path)
+                    else f)
         monkeypatch.setattr(fileio, "open", fake_open, raising=False)
     return arm
 
@@ -134,6 +136,8 @@ A3,05/01/2019,12:00,6,51.5008,-0.1195,3,2
 
 @pytest.mark.parametrize("sub,artifact", [
     ("ingest", "records.jsonl"), ("grid", "scores.csv"), ("label", "labels.csv"),
+    ("ingest", "config.resolved.json"), ("ingest", "ingest_report.json"),
+    ("grid", "grid.json"), ("grid", "grid_report.json"), ("label", "label_report.json"),
 ])
 def test_failed_cli_artifact_write_keeps_previous_file(tmp_path, fail_writes_to, capsys,
                                                        sub, artifact):
@@ -146,7 +150,8 @@ def test_failed_cli_artifact_write_keeps_previous_file(tmp_path, fail_writes_to,
     for step in ("grid", sub):
         assert main([step, "--config", str(cfg)]) == 0
     before = (run / artifact).read_bytes()
-    fail_writes_to(artifact)
+    # a JSON artifact is written with one call, so that is the one to fail
+    fail_writes_to(artifact, fail_on=1 if artifact.endswith(".json") else 2)
     capsys.readouterr()
     # a failed write is a data error: exit 2, one line, no traceback
     assert main([sub, "--config", str(cfg)]) == 2

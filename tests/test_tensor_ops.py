@@ -375,7 +375,7 @@ def _roi_backward(x, rect, out_hw, seed):
 
 
 class TestRoiAvgPoolBackward:
-    """Gradients of the reduceat/repeat pooling against the plain-loop oracle."""
+    """Gradients of the bin-matrix pooling against the plain-loop oracle."""
 
     @pytest.mark.parametrize("hw,rect,out_hw", ROI_CASES)
     def test_matches_naive_oracle(self, hw, rect, out_hw):
