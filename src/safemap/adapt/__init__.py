@@ -2,10 +2,8 @@
 
 from .covariance import (
     AdaptError,
-    CovMatrices,
     FeatureBatch,
     cov_between,
-    cov_matrices,
     cov_within,
     loss_coral,
     loss_da,
@@ -15,12 +13,10 @@ from .training import DaBatchLoss, DaTrainConfig, da_batch_loss, train_dam_da
 
 __all__ = [
     "AdaptError",
-    "CovMatrices",
     "DaBatchLoss",
     "DaTrainConfig",
     "FeatureBatch",
     "cov_between",
-    "cov_matrices",
     "cov_within",
     "da_batch_loss",
     "loss_coral",

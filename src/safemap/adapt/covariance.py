@@ -9,6 +9,16 @@ which cost O(n d^2) instead of the O(n^2 d^2) literal sums they equal:
         = n_y sum_i x_i x_i^T + n_x sum_j y_j y_j^T
           - (sum x)(sum y)^T - (sum y)(sum x)^T
 
+The first identity, ``_pair_diff_sum``, also gives the Deep CORAL baseline's
+centered covariance: the pair sum divided by 2n(n-1).
+
+Degenerate batches need no special case. An empty class makes every moment
+an empty sum, so its terms are exactly zero and a between matrix with an
+empty class is the zero matrix, still recorded on the tape. A class with one
+sample has no pairs; its two within terms cancel to exactly zero in value
+but not in gradient (about 1 ulp of noise), so ``cov_within`` skips classes
+with fewer than 2 samples to keep gradients bit-identical to the pair sums.
+
 Everything is expressed in taped tensor ops, so gradients flow back into
 the feature rows. Float32 features are first cast to float64 with the taped
 ``astype``: the moment identities subtract large, nearly equal terms, which
@@ -37,16 +47,10 @@ class AdaptError(ValueError):
     """Raised for malformed feature batches or loss preconditions."""
 
 
-def _as_features(f, d_hint=None):
-    # Accepts a Tensor, an array, or a list of d-vectors; returns a (n, d)
-    # float64 Tensor. Empty lists need d_hint to fix the feature dimension.
+def _as_features(f) -> Tensor:
+    # an (n, d) Tensor or array as an (n, d) float64 Tensor
     if not isinstance(f, Tensor):
-        arr = np.asarray(f, dtype=np.float64)
-        if arr.size == 0:
-            if d_hint is None:
-                raise AdaptError("empty feature list with no feature dimension to infer")
-            arr = arr.reshape(0, d_hint)
-        f = Tensor(arr)
+        f = Tensor(np.asarray(f, dtype=np.float64))
     if f.data.ndim != 2:
         raise ShapeError(f"features must be (n, d), got shape {f.shape}")
     if f.data.dtype != np.float64:
@@ -54,10 +58,11 @@ def _as_features(f, d_hint=None):
     return f
 
 
-def _feature_dim(x, y):
-    if x.shape[1] != y.shape[1]:
-        raise AdaptError(f"feature dimensions differ: {x.shape[1]} vs {y.shape[1]}")
-    return x.shape[1]
+def _pair(a, b) -> tuple[Tensor, Tensor]:
+    a, b = _as_features(a), _as_features(b)
+    if a.shape[1] != b.shape[1]:
+        raise AdaptError(f"feature dimensions differ: {a.shape[1]} vs {b.shape[1]}")
+    return a, b
 
 
 @dataclass
@@ -70,12 +75,9 @@ class FeatureBatch:
 
     x: Tensor
     y: Tensor
-    domain: str = ""
 
     def __post_init__(self):
-        self.x = _as_features(self.x)
-        self.y = _as_features(self.y)
-        _feature_dim(self.x, self.y)
+        self.x, self.y = _pair(self.x, self.y)
 
     @property
     def d(self) -> int:
@@ -86,7 +88,7 @@ class FeatureBatch:
         return self.x.shape[0] == 0 or self.y.shape[0] == 0
 
     @classmethod
-    def from_labels(cls, features: Tensor, labels, domain: str = "") -> "FeatureBatch":
+    def from_labels(cls, features: Tensor, labels) -> "FeatureBatch":
         """Partition feature rows by their class labels."""
         features = _as_features(features)
         labels = np.asarray(labels, dtype=np.int64)
@@ -96,21 +98,8 @@ class FeatureBatch:
         bad = set(labels.tolist()) - {SAFE, DANGEROUS}
         if bad:
             raise AdaptError(f"labels must be 0 or 1, got {sorted(bad)}")
-        return cls(
-            x=gather_rows(features, np.flatnonzero(labels == DANGEROUS)),
-            y=gather_rows(features, np.flatnonzero(labels == SAFE)),
-            domain=domain,
-        )
-
-
-@dataclass
-class CovMatrices:
-    within: Tensor
-    between: Tensor
-
-
-def _zero_matrix(d: int) -> Tensor:
-    return Tensor(np.zeros((d, d)))
+        return cls(x=gather_rows(features, np.flatnonzero(labels == DANGEROUS)),
+                   y=gather_rows(features, np.flatnonzero(labels == SAFE)))
 
 
 def _symmetrize(m: Tensor) -> Tensor:
@@ -125,38 +114,18 @@ def _pair_diff_sum(f: Tensor) -> Tensor:
     return matmul(transpose(f), f) * float(2 * n) - matmul(transpose(s), s) * 2.0
 
 
-def _normalize_pair(a, b):
-    # Coerce both feature collections; an empty list borrows d from the other.
-    d = None
-    for f in (a, b):
-        if isinstance(f, Tensor) and f.data.ndim == 2:
-            d = f.shape[1]
-        elif not isinstance(f, Tensor):
-            arr = np.asarray(f, dtype=np.float64)
-            if arr.size:
-                d = arr.shape[-1]
-    x = _as_features(a, d_hint=d)
-    y = _as_features(b, d_hint=x.shape[1])
-    return x, y
-
-
 def cov_within(features_x, features_y) -> Tensor:
     """Within-class covariance: pairwise differences summed inside each class.
 
     A class with fewer than 2 samples has no pairs and contributes the zero
     matrix (degenerate-batch rule).
     """
-    x, y = _normalize_pair(features_x, features_y)
-    d = _feature_dim(x, y)
-    total = None
-    for f in (x, y):
-        if f.shape[0] < 2:
-            continue
-        term = _pair_diff_sum(f)
-        total = term if total is None else total + term
-    if total is None:
-        return _zero_matrix(d)
-    return _symmetrize(total)
+    x, y = _pair(features_x, features_y)
+    # lone samples are skipped for gradient bit-identity (module docstring)
+    terms = [_pair_diff_sum(f) for f in (x, y) if f.shape[0] >= 2]
+    if not terms:
+        return Tensor(np.zeros((x.shape[1], x.shape[1])))
+    return _symmetrize(sum(terms[1:], terms[0]))
 
 
 def cov_between(features_x, features_y) -> Tensor:
@@ -164,23 +133,14 @@ def cov_between(features_x, features_y) -> Tensor:
 
     Either class empty yields the zero matrix (degenerate-batch rule).
     """
-    x, y = _normalize_pair(features_x, features_y)
-    d = _feature_dim(x, y)
-    nx, ny = x.shape[0], y.shape[0]
-    if nx == 0 or ny == 0:
-        return _zero_matrix(d)
+    x, y = _pair(features_x, features_y)
     sx = tensor_sum(x, axis=0, keepdims=True)
     sy = tensor_sum(y, axis=0, keepdims=True)
-    total = (matmul(transpose(x), x) * float(ny)
-             + matmul(transpose(y), y) * float(nx)
+    total = (matmul(transpose(x), x) * float(y.shape[0])
+             + matmul(transpose(y), y) * float(x.shape[0])
              - matmul(transpose(sx), sy)
              - matmul(transpose(sy), sx))
     return _symmetrize(total)
-
-
-def cov_matrices(batch: FeatureBatch) -> CovMatrices:
-    return CovMatrices(within=cov_within(batch.x, batch.y),
-                       between=cov_between(batch.x, batch.y))
 
 
 def _frob_sq(a: Tensor, b: Tensor) -> Tensor:
@@ -193,24 +153,17 @@ def loss_da(source: FeatureBatch, target: FeatureBatch) -> Tensor:
     the same for their between matrices."""
     if source.d != target.d:
         raise AdaptError(f"feature dimensions differ: {source.d} vs {target.d}")
-    s, t = cov_matrices(source), cov_matrices(target)
-    return _frob_sq(s.within, t.within) + _frob_sq(s.between, t.between)
+    sw, sb = cov_within(source.x, source.y), cov_between(source.x, source.y)
+    tw, tb = cov_within(target.x, target.y), cov_between(target.x, target.y)
+    return _frob_sq(sw, tw) + _frob_sq(sb, tb)
 
 
 def loss_coral(source_features, target_features) -> Tensor:
     """Class-agnostic baseline: (1/d) * ||C_S - C_T||_F^2 with centered
     feature covariances (n-1 denominator)."""
-    fs = _as_features(source_features)
-    ft = _as_features(target_features)
-    d = _feature_dim(fs, ft)
+    fs, ft = _pair(source_features, target_features)
     for f, name in ((fs, "source"), (ft, "target")):
         if f.shape[0] < 2:
             raise AdaptError(f"{name} needs at least 2 samples, got {f.shape[0]}")
-
-    def centered_cov(f):
-        n = f.shape[0]
-        s = tensor_sum(f, axis=0, keepdims=True)
-        raw = matmul(transpose(f), f) - matmul(transpose(s), s) * (1.0 / n)
-        return raw * (1.0 / (n - 1))
-
-    return _frob_sq(centered_cov(fs), centered_cov(ft)) * (1.0 / d)
+    cs, ct = (_pair_diff_sum(f) / float(2 * f.shape[0] * (f.shape[0] - 1)) for f in (fs, ft))
+    return _frob_sq(cs, ct) * (1.0 / fs.shape[1])

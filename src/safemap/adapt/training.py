@@ -86,8 +86,8 @@ def da_batch_loss(trace, y_source: np.ndarray, y_target: np.ndarray,
         lda = loss_coral(src_feat, tgt_feat)
         degenerate = False
     else:
-        src_fb = FeatureBatch.from_labels(src_feat, y_source, domain="source")
-        tgt_fb = FeatureBatch.from_labels(tgt_feat, y_target, domain="target")
+        src_fb = FeatureBatch.from_labels(src_feat, y_source)
+        tgt_fb = FeatureBatch.from_labels(tgt_feat, y_target)
         degenerate = src_fb.degenerate() or tgt_fb.degenerate()
         lda = loss_da(src_fb, tgt_fb)
     total = lc + lda * da_cfg.lam

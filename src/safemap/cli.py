@@ -18,9 +18,9 @@ optional ``--seed`` override and maps onto one module operation:
 Exit codes: 0 success, 1 usage error (bad flags or run config), 2 data
 error (unreadable or inconsistent inputs). All outputs land under the
 config's run directory next to ``config.resolved.json`` and
-``run_manifest.json``, which declares every file produced there (sequential
-subcommands sharing one directory merge their declarations); rerunning with
-identical inputs and seed reproduces each artifact byte for byte. One run
+``run_manifest.json``, which declares every file in that directory, those
+of earlier subcommands that shared it included; rerunning with identical
+inputs and seed reproduces each artifact byte for byte. One run
 per process; concurrent runs must use distinct run directories.
 """
 
@@ -29,6 +29,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from pathlib import Path
 from typing import Optional
@@ -100,20 +101,15 @@ class _Parser(argparse.ArgumentParser):
 
 
 class RunDir:
-    """Run output directory plus the ledger of files written into it."""
+    """Run output directory; its ``run_manifest.json`` lists what is in it."""
 
     def __init__(self, root: Path):
         self.root = root
-        self.files: list[str] = []
         root.mkdir(parents=True, exist_ok=True)
 
     def path(self, rel: str) -> Path:
-        """Register an output file and return its absolute path."""
-        if rel not in self.files:
-            self.files.append(rel)
-        out = self.root / rel
-        out.parent.mkdir(parents=True, exist_ok=True)
-        return out
+        """Absolute path of an output file directly under the run directory."""
+        return self.root / rel
 
     def write_json(self, rel: str, obj) -> None:
         self.write_text(rel, json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
@@ -123,21 +119,16 @@ class RunDir:
             f.write(text)
 
     def finish(self, subcommand: str) -> None:
-        """Declare produced files, merging declarations of earlier runs.
+        """Declare every file under the run directory.
 
-        Sequential subcommands may share one run directory; each run's
-        manifest keeps every file any of them produced so nothing on disk
-        is undeclared. A path asked for but never written (the run failed
-        first) is left out, so nothing declared is missing either.
+        The directory is its own ledger: files of earlier subcommands that
+        shared it are declared too, and a file the run never wrote (it
+        failed first) is not.
         """
         path = self.root / "run_manifest.json"
-        files = set(self.files)
-        if path.exists():
-            try:
-                files |= set(json.loads(path.read_text(encoding="utf-8"))["files"])
-            except (json.JSONDecodeError, KeyError, TypeError):
-                pass  # unreadable prior manifest: rewrite from this run
-        files = sorted(f for f in files if (self.root / f).is_file())
+        found = (os.path.relpath(os.path.join(base, name), self.root).replace(os.sep, "/")
+                 for base, _, names in os.walk(self.root) for name in names)
+        files = sorted(f for f in found if f != path.name)
         with atomic_open(path, "w", encoding="utf-8") as f:
             f.write(json.dumps({"subcommand": subcommand, "files": files},
                                sort_keys=True, separators=(",", ":")) + "\n")
@@ -235,10 +226,6 @@ def cmd_synth(cfg: RunConfig, run: RunDir) -> None:
                             image_hw=s.image_hw, jitter_px=s.jitter_px,
                             domain_style=s.domain_style, seed=s.seed,
                             split_fractions=cfg.pipeline.split_fractions)
-    run.path("synth/manifest.jsonl")
-    run.path("synth/synth_meta.jsonl")
-    for e in result.manifest.entries:
-        run.path(f"synth/{e.image}")
     counts = result.manifest.class_counts()
     run.write_json("synth_report.json",
                    {"images": len(result.manifest.entries),

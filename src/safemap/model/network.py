@@ -22,6 +22,7 @@ names it for the optimizer).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -42,7 +43,7 @@ from ..autodiff import (
     softmax,
 )
 from ..autodiff.nn_ops import _bin_edges
-from .config import IN_CHANNELS, NUM_CLASSES, ConfigError, DamConfig, SubregionScheme
+from .config import IN_CHANNELS, NUM_CLASSES, SCHEME_KINDS, ConfigError, DamConfig, SubregionScheme
 
 
 class DamParams:
@@ -136,41 +137,29 @@ def partition_regions(map_hw: tuple[int, int],
 
     Output order is canonical: all HS bands top to bottom, then VS bands
     left to right, then SQ blocks row-major, regardless of scheme order in
-    the config.  Bands use proportional rounding, so each scheme tiles the
-    map exactly.
+    the config.  Each scheme is a grid of rows x cols bands (HS N x 1, VS
+    1 x N, SQ r x r) cut with proportional rounding, so it tiles the map
+    exactly.
     """
     h, w = map_hw
-    by_kind: dict[str, SubregionScheme] = {}
-    for s in schemes:
-        if s.kind in by_kind:
-            raise ConfigError(f"duplicate scheme kind {s.kind}")
-        by_kind[s.kind] = s
+    kinds = [s.kind for s in schemes]
+    dup = next((k for i, k in enumerate(kinds) if k in kinds[:i]), None)
+    if dup is not None:
+        raise ConfigError(f"duplicate scheme kind {dup}")
     out: list[tuple[Rect, str]] = []
-    if "HS" in by_kind:
-        s = by_kind["HS"]
-        if h < s.count:
-            raise ConfigError(f"HS with N={s.count} needs map height >= {s.count}, got {h}")
-        edges = _bin_edges(h, s.count)
-        for i in range(s.count):
-            out.append((Rect(int(edges[i]), int(edges[i + 1]), 0, w), f"HS{i}"))
-    if "VS" in by_kind:
-        s = by_kind["VS"]
-        if w < s.count:
-            raise ConfigError(f"VS with N={s.count} needs map width >= {s.count}, got {w}")
-        edges = _bin_edges(w, s.count)
-        for i in range(s.count):
-            out.append((Rect(0, h, int(edges[i]), int(edges[i + 1])), f"VS{i}"))
-    if "SQ" in by_kind:
-        s = by_kind["SQ"]
-        r = int(np.sqrt(s.count))
-        if h < r or w < r:
-            raise ConfigError(f"SQ with N={s.count} needs map extents >= {r}, got {h}x{w}")
-        re_ = _bin_edges(h, r)
-        ce = _bin_edges(w, r)
-        for i in range(r):
-            for j in range(r):
-                out.append((Rect(int(re_[i]), int(re_[i + 1]), int(ce[j]), int(ce[j + 1])),
-                            f"SQ{i}_{j}"))
+    for s in sorted(schemes, key=lambda s: SCHEME_KINDS.index(s.kind)):
+        r = math.isqrt(s.count)
+        rows, cols = {"HS": (s.count, 1), "VS": (1, s.count), "SQ": (r, r)}[s.kind]
+        if h < rows or w < cols:
+            raise ConfigError(f"{s.kind} with N={s.count} needs map height >= {rows} "
+                              f"and width >= {cols}, got {h}x{w}")
+        row_edges, col_edges = _bin_edges(h, rows), _bin_edges(w, cols)
+        for i in range(rows):
+            for j in range(cols):
+                rect = Rect(int(row_edges[i]), int(row_edges[i + 1]),
+                            int(col_edges[j]), int(col_edges[j + 1]))
+                # one of i, j is 0 for a band, so i + j is its index
+                out.append((rect, f"SQ{i}_{j}" if s.kind == "SQ" else f"{s.kind}{i + j}"))
     if not out:
         raise ConfigError("no subregion schemes given")
     return out

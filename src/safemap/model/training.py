@@ -61,6 +61,14 @@ class TrainConfig:
                                  f"got {getattr(self, name)}")
         if self.seed < 0:
             raise TrainError(f"seed must be non-negative, got {self.seed}")
+        # the schedule is monotone, so its last epoch bounds every epoch
+        try:
+            last_lr = self.lr_at(self.epochs - 1)
+        except OverflowError:
+            last_lr = math.inf
+        if not 0 < last_lr < math.inf:
+            raise TrainError(f"learning rate at the last epoch ({self.epochs - 1}) must be "
+                             f"positive and finite, got {last_lr}")
 
     def lr_at(self, epoch: int) -> float:
         return step_decay_lr(self.lr0, epoch, self.lr_decay, self.lr_decay_every)

@@ -247,3 +247,8 @@ class TestTrainDamDa:
     def test_bad_lr_schedule_rejected(self, field, value):
         with pytest.raises(TrainError, match=field):
             DaTrainConfig(**{field: value})
+
+    @pytest.mark.parametrize("decay", [0.5, 2.0])
+    def test_schedule_leaving_positive_finite_rejected(self, decay):
+        with pytest.raises(TrainError, match="learning rate at the last epoch"):
+            DaTrainConfig(epochs=1100, lr_decay_every=1, lr_decay=decay)

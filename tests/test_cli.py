@@ -132,6 +132,20 @@ class TestConfigErrors:
         assert f"section '{section}'" in err and key in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("subcommand,section", [
+        ("train", "train"), ("train-da", "da")])
+    @pytest.mark.parametrize("decay", [0.5, 2.0])
+    def test_schedule_leaving_positive_finite_is_usage_error(self, tmp_path, capsys,
+                                                             subcommand, section, decay):
+        # lr reaches 0.0 (decay 0.5) or overflows (decay 2.0) past epoch 1000
+        cfg = write_config(tmp_path / "c.json", {
+            section: {"epochs": 1100, "lr_decay_every": 1, "lr_decay": decay},
+            "paths": {"run_dir": str(tmp_path / "run")}})
+        assert main([subcommand, "--config", cfg]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert f"section '{section}'" in err and "learning rate at the last epoch" in err
+
     @pytest.mark.parametrize("section,key,value", [
         ("train", "eval_batch_size", 0), ("train", "eval_batch_size", -4),
         ("da", "eval_batch_size", 0), ("eval", "batch_size", 0), ("eval", "batch_size", -4),

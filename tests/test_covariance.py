@@ -5,15 +5,13 @@ import pytest
 
 from safemap.adapt.covariance import (
     AdaptError,
-    CovMatrices,
     FeatureBatch,
     cov_between,
-    cov_matrices,
     cov_within,
     loss_coral,
     loss_da,
 )
-from safemap.autodiff import Tape, Tensor, grad_check, tensor_sum
+from safemap.autodiff import Tape, Tensor, backward, gather_rows, grad_check, tensor_sum
 
 from oracles import coral_cov_naive, cov_between_naive, cov_within_naive
 
@@ -92,11 +90,11 @@ class TestDegenerateRule:
     def test_empty_class_between_zero(self):
         ys = np.array([[1.0], [2.0]])
         assert np.array_equal(cov_between(np.zeros((0, 1)), ys).data, np.zeros((1, 1)))
-        assert np.array_equal(cov_between([], ys).data, np.zeros((1, 1)))
 
-    def test_both_empty_from_lists_rejected(self):
-        with pytest.raises(AdaptError):
-            cov_within([], [])
+    def test_both_empty_arrays_give_zero(self):
+        empty = np.zeros((0, 3))
+        assert np.array_equal(cov_within(empty, empty.copy()).data, np.zeros((3, 3)))
+        assert np.array_equal(cov_between(empty, empty.copy()).data, np.zeros((3, 3)))
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(AdaptError):
@@ -107,10 +105,10 @@ class TestFeatureBatch:
     def test_from_labels_partitions(self):
         feats = Tensor(np.arange(10.0).reshape(5, 2))
         labels = np.array([1, 0, 1, 0, 0])
-        fb = FeatureBatch.from_labels(feats, labels, domain="src")
+        fb = FeatureBatch.from_labels(feats, labels)
         assert np.array_equal(fb.x.data, feats.data[[0, 2]])
         assert np.array_equal(fb.y.data, feats.data[[1, 3, 4]])
-        assert fb.domain == "src" and fb.d == 2 and not fb.degenerate()
+        assert fb.d == 2 and not fb.degenerate()
 
     def test_degenerate_flag(self):
         feats = Tensor(np.ones((3, 2)))
@@ -127,8 +125,8 @@ class TestFeatureBatch:
         labels = np.array([1, 0, 1, 0, 1, 0])
         with Tape() as tape:
             fb = FeatureBatch.from_labels(feats, labels)
-            m = cov_matrices(fb)
-            total = tensor_sum(m.within * m.within) + tensor_sum(m.between * m.between)
+            w, b = cov_within(fb.x, fb.y), cov_between(fb.x, fb.y)
+            total = tensor_sum(w * w) + tensor_sum(b * b)
             tape.backward(total)
         assert feats.grad is not None and np.abs(feats.grad).max() > 0
 
@@ -137,8 +135,8 @@ class TestLossDa:
     def test_identical_batches_zero(self):
         rng = np.random.default_rng(3)
         xs, ys = rng.normal(size=(4, 3)), rng.normal(size=(5, 3))
-        src = FeatureBatch(x=xs, y=ys, domain="s")
-        tgt = FeatureBatch(x=xs.copy(), y=ys.copy(), domain="t")
+        src = FeatureBatch(x=xs, y=ys)
+        tgt = FeatureBatch(x=xs.copy(), y=ys.copy())
         assert float(loss_da(src, tgt).data) == 0.0
 
     def test_substitution_case_equals_8(self):
@@ -170,6 +168,18 @@ class TestLossDa:
                 FeatureBatch(x=xs[r.permutation(6)], y=ys[r.permutation(5)]),
                 FeatureBatch(x=tx[r.permutation(4)], y=ty[r.permutation(7)])).data)
             assert perm == pytest.approx(base, rel=1e-12)
+
+    def test_all_degenerate_batch_backpropagates(self):
+        # every within class has < 2 samples and every between has an empty
+        # class: the loss is a taped zero and its gradients are zero
+        feats = Tensor(np.array([[1.0, 2.0], [3.0, -1.0]]), requires_grad=True, name="f")
+        with Tape():
+            src = FeatureBatch.from_labels(gather_rows(feats, [0]), np.array([1]))
+            tgt = FeatureBatch.from_labels(gather_rows(feats, [1]), np.array([0]))
+            loss = loss_da(src, tgt)
+            backward(loss)
+        assert float(loss.data) == 0.0
+        assert np.array_equal(feats.grad, np.zeros((2, 2)))
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(13)

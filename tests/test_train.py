@@ -1,5 +1,7 @@
 """Training loop behavior: descent, determinism, schedule, bookkeeping."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -70,6 +72,20 @@ class TestDefaults:
         # each of these used to pass construction and fail only epochs later
         with pytest.raises(TrainError, match=field):
             TrainConfig(**{field: value})
+
+    @pytest.mark.parametrize("over,last_lr", [
+        # decays to exactly 0.0 from epoch 1062; 2.0 ** 1024 overflows
+        (dict(epochs=1100, lr_decay_every=1), "0.0"),
+        (dict(epochs=1100, lr_decay_every=1, lr_decay=2.0), "inf"),
+    ])
+    def test_schedule_leaving_positive_finite_rejected(self, over, last_lr):
+        # these used to fail only at epoch 1062 (sgd_step) or 1024 (lr_at)
+        with pytest.raises(TrainError, match=f"last epoch \\(1099\\).*got {last_lr}"):
+            TrainConfig(**over)
+
+    def test_schedule_at_its_limits_accepted(self):
+        assert TrainConfig(epochs=1062, lr_decay_every=1).lr_at(1061) > 0.0
+        assert TrainConfig(epochs=1000, lr_decay_every=1, lr_decay=2.0).lr_at(999) < math.inf
 
 
 class TestDescent:
