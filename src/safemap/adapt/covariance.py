@@ -22,9 +22,11 @@ with fewer than 2 samples to keep gradients bit-identical to the pair sums.
 Everything is expressed in taped tensor ops, so gradients flow back into
 the feature rows. Float32 features are first cast to float64 with the taped
 ``astype``: the moment identities subtract large, nearly equal terms, which
-float32 would leave with relative errors near 1e-3. The double sums are
-intentionally unnormalized. Outputs are symmetrized explicitly; float
-matmul does not guarantee exact symmetry.
+float32 would leave with relative errors near 1e-3. ``cov_within`` and
+``cov_between`` return the unnormalized double sums; ``loss_da`` divides
+each by its pair count, so that the alignment term does not grow with the
+batch size. Outputs are symmetrized explicitly; float matmul does not
+guarantee exact symmetry.
 """
 
 from dataclasses import dataclass
@@ -148,13 +150,20 @@ def _frob_sq(a: Tensor, b: Tensor) -> Tensor:
     return tensor_sum(diff * diff)
 
 
+def _per_pair(b: FeatureBatch) -> tuple[Tensor, Tensor]:
+    # within over its n_x^2 + n_y^2 ordered pairs, between over its n_x n_y;
+    # at least 1, so an empty class divides its zero matrix by 1
+    nx, ny = b.x.shape[0], b.y.shape[0]
+    return (cov_within(b.x, b.y) / float(max(nx * nx + ny * ny, 1)),
+            cov_between(b.x, b.y) / float(max(nx * ny, 1)))
+
+
 def loss_da(source: FeatureBatch, target: FeatureBatch) -> Tensor:
-    """Squared Frobenius distance between the domains' within matrices plus
-    the same for their between matrices."""
+    """Squared Frobenius distance between the domains' per-pair within
+    matrices plus the same for their per-pair between matrices."""
     if source.d != target.d:
         raise AdaptError(f"feature dimensions differ: {source.d} vs {target.d}")
-    sw, sb = cov_within(source.x, source.y), cov_between(source.x, source.y)
-    tw, tb = cov_within(target.x, target.y), cov_between(target.x, target.y)
+    (sw, sb), (tw, tb) = _per_pair(source), _per_pair(target)
     return _frob_sq(sw, tw) + _frob_sq(sb, tb)
 
 

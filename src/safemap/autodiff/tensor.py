@@ -124,26 +124,8 @@ class Tensor:
     def __rtruediv__(self, other):
         return div(other, self)
 
-    def __neg__(self):
-        return neg(self)
-
     def __matmul__(self, other):
         return matmul(self, other)
-
-    def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        return tensor_sum(self, axis=axis, keepdims=keepdims)
-
-    def reshape(self, *shape) -> "Tensor":
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
-
-    def transpose(self) -> "Tensor":
-        return transpose(self)
-
-    @property
-    def T(self) -> "Tensor":
-        return transpose(self)
 
 
 class _Node:
@@ -269,15 +251,6 @@ def sub(a, b) -> Tensor:
     return _make_op(out_data, (a, b), bwd, "sub")
 
 
-def neg(a) -> Tensor:
-    a = _as_tensor(a)
-
-    def bwd(g):
-        _accumulate(a, -g)
-
-    return _make_op(-a.data, (a,), bwd, "neg")
-
-
 def mul(a, b) -> Tensor:
     a, b = _as_tensor(a, b), _as_tensor(b, a)
     out_data = a.data * b.data
@@ -299,16 +272,6 @@ def div(a, b) -> Tensor:
         _accumulate(b, _unbroadcast(-g * a.data / (b.data * b.data), b.shape))
 
     return _make_op(out_data, (a, b), bwd, "div")
-
-
-def sqrt(a) -> Tensor:
-    a = _as_tensor(a)
-    out_data = np.sqrt(a.data)
-
-    def bwd(g):
-        _accumulate(a, g * 0.5 / out_data)
-
-    return _make_op(out_data, (a,), bwd, "sqrt")
 
 
 def relu(a) -> Tensor:
@@ -345,16 +308,6 @@ def transpose(a) -> Tensor:
         _accumulate(a, g.T)
 
     return _make_op(a.data.T.copy(), (a,), bwd, "transpose")
-
-
-def reshape(a, shape: tuple) -> Tensor:
-    a = _as_tensor(a)
-    out_data = a.data.reshape(shape)
-
-    def bwd(g):
-        _accumulate(a, g.reshape(a.shape))
-
-    return _make_op(out_data, (a,), bwd, "reshape")
 
 
 def astype(a, dtype) -> Tensor:

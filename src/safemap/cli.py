@@ -56,7 +56,7 @@ from .geo.manifest import (
     save_manifest,
 )
 from .geo.ppm import PpmError, read_ppm
-from .geo.records import IngestError, ingest_accidents, record_line
+from .geo.records import IngestError, ingest_accidents, records_jsonl
 from .geo.synth import SynthError, synth_generate
 from .model.config import ConfigError
 from .model.network import DamParams, param_layout, predict
@@ -159,26 +159,24 @@ def _read_records(cfg: RunConfig):
 def cmd_ingest(cfg: RunConfig, run: RunDir) -> None:
     result = _read_records(cfg)
     with atomic_open(run.path("records.jsonl"), "w", encoding="utf-8", newline="\n") as f:
-        for r in result.records:
-            f.write(record_line(r))
+        for line in records_jsonl(result):
+            f.write(line)
     run.write_json("ingest_report.json",
-                   {"records": len(result.records), "skipped": result.skipped})
+                   {"records": len(result.ids), "skipped": result.skipped})
 
 
 def cmd_grid(cfg: RunConfig, run: RunDir) -> None:
     result = _read_records(cfg)
-    spec, cells = build_grid(result.records, cfg.pipeline.cell_size_m)
-    scored = score_cells(spec, cells)
+    spec, cols, rows = build_grid(result.latitude, result.longitude, cfg.pipeline.cell_size_m)
+    counts = score_cells(spec, cols, rows)
     run.write_json("grid.json", spec.to_dict())
     with atomic_open(run.path("scores.csv"), "w", encoding="utf-8", newline="") as f:
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow(["col", "row", "score"])
-        for row in range(spec.rows):
-            for col in range(spec.columns):
-                writer.writerow([col, row, scored.score(col, row)])
+        writer.writerows((col, row, score) for (row, col), score in np.ndenumerate(counts))
     run.write_json("grid_report.json",
                    {"columns": spec.columns, "rows": spec.rows,
-                    "records": len(result.records), "total_score": scored.total})
+                    "records": len(result.ids), "total_score": int(counts.sum())})
 
 
 def _read_scores(path) -> list[tuple[int, int, int]]:

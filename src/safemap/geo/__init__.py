@@ -1,6 +1,6 @@
 """Geospatial pipeline: ingestion, gridding, labeling, manifests, synthesis."""
 
-from .grid import GridError, GridSpec, ScoredGrid, build_grid, score_cells
+from .grid import GridError, GridSpec, build_grid, score_cells
 from .labeling import BinResult, LabelingError, kmeans_bin
 from .manifest import (
     DANGEROUS,
@@ -14,11 +14,10 @@ from .manifest import (
     save_manifest,
 )
 from .ppm import PpmError, read_pgm, read_ppm, write_pgm, write_ppm
-from .records import AccidentRecord, IngestError, IngestResult, ingest_accidents
+from .records import IngestError, IngestResult, ingest_accidents
 from .synth import SynthError, SynthImageMeta, SynthResult, load_synth_meta, synth_generate
 
 __all__ = [
-    "AccidentRecord",
     "BinResult",
     "DANGEROUS",
     "DatasetManifest",
@@ -31,7 +30,6 @@ __all__ = [
     "ManifestError",
     "PpmError",
     "SAFE",
-    "ScoredGrid",
     "SynthError",
     "SynthImageMeta",
     "SynthResult",

@@ -7,9 +7,10 @@ every step is hand-checkable.  Cells are half-open s x s meter squares
 indexed (col, row) from the south-west corner; boundary points belong to
 the higher cell by the floor convention.
 
-``build_grid`` projects all records at once as float64 arrays, with the
-operations in ``GridSpec.cell_of``'s order so that every cell matches the
-scalar projection bit for bit; ``score_cells`` counts with one
+``build_grid`` maps the records' latitude and longitude columns to int64
+cell column and row arrays, with the operations in ``GridSpec.cell_of``'s
+order so that every cell matches the scalar projection bit for bit.
+``score_cells`` counts them into a ``[rows, columns]`` array with one
 ``np.bincount`` over flat cell indices.
 """
 
@@ -17,12 +18,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from ..jsoncodec import JsonError, from_json, to_json
-from .records import AccidentRecord
 
 EARTH_RADIUS_M = 6_371_000.0
 
@@ -92,17 +91,14 @@ class GridSpec:
             raise GridError(f"malformed grid spec: {e}") from e
 
 
-def build_grid(records: Sequence[AccidentRecord],
-               cell_size_m: float = 30.0) -> tuple[GridSpec, list[tuple[int, int]]]:
-    """Fit a grid over the record bounding box; map each record to its cell.
+def build_grid(lats, lons, cell_size_m: float = 30.0) -> tuple[GridSpec, np.ndarray, np.ndarray]:
+    """Fit a grid over the bounding box of the float64 ``lats`` and ``lons``.
 
-    Returns the spec and one (col, row) per record in input order.  A
-    degenerate single-point extent yields a 1x1 grid.
+    Returns the spec and int64 ``cols`` and ``rows`` arrays, one cell per
+    record in input order.  A single-point extent yields a 1x1 grid.
     """
-    if not records:
+    if not lats.size:
         raise GridError("build_grid needs at least one record")
-    lats = np.array([r.latitude for r in records], dtype=np.float64)
-    lons = np.array([r.longitude for r in records], dtype=np.float64)
     lat0 = (float(lats.min()) + float(lats.max())) / 2.0
     lon0 = (float(lons.min()) + float(lons.max())) / 2.0
     m_per_deg_lat = EARTH_RADIUS_M * math.pi / 180.0
@@ -128,34 +124,15 @@ def build_grid(records: Sequence[AccidentRecord],
     # the spec checks the cell guard before the indices are narrowed to int64
     spec = GridSpec(origin_lat=origin_lat, origin_lon=origin_lon, cell_size_m=cell_size_m,
                     columns=int(last_col) + 1, rows=int(last_row) + 1, ref_lat=lat0)
-    return spec, list(zip(cols.astype(np.int64).tolist(), rows.astype(np.int64).tolist()))
+    return spec, cols.astype(np.int64), rows.astype(np.int64)
 
 
-class ScoredGrid:
-    """Per-cell accident counts over a GridSpec, zero cells included."""
-
-    def __init__(self, spec: GridSpec, counts: np.ndarray):
-        if counts.shape != (spec.rows, spec.columns):
-            raise GridError(f"counts shape {counts.shape} does not match "
-                            f"{spec.rows}x{spec.columns} grid")
-        self.spec = spec
-        self.counts = counts
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
-    def score(self, col: int, row: int) -> int:
-        return int(self.counts[row, col])
-
-
-def score_cells(spec: GridSpec, record_cells: Sequence[tuple[int, int]]) -> ScoredGrid:
-    """Count records per cell; the counts sum to the record count exactly."""
-    cells = np.array(record_cells, dtype=np.int64).reshape(-1, 2)
-    cols, rows = cells[:, 0], cells[:, 1]
+def score_cells(spec: GridSpec, cols, rows) -> np.ndarray:
+    """Records per cell of the int64 ``cols`` and ``rows``, as an int64
+    ``[rows, columns]`` array that sums to the record count exactly."""
     outside = (cols < 0) | (cols >= spec.columns) | (rows < 0) | (rows >= spec.rows)
     if outside.any():
-        col, row = cells[int(outside.argmax())].tolist()
-        raise GridError(f"cell ({col},{row}) outside {spec.columns}x{spec.rows} grid")
+        i = int(outside.argmax())
+        raise GridError(f"cell ({cols[i]},{rows[i]}) outside {spec.columns}x{spec.rows} grid")
     counts = np.bincount(rows * spec.columns + cols, minlength=spec.rows * spec.columns)
-    return ScoredGrid(spec, counts.astype(np.int64, copy=False).reshape(spec.rows, spec.columns))
+    return counts.astype(np.int64, copy=False).reshape(spec.rows, spec.columns)

@@ -1,4 +1,4 @@
-"""Accident-report ingestion from CSV.
+"""Accident-report ingestion from CSV into columns.
 
 ``ingest_accidents`` reads rows with ``csv.reader`` and looks the eight
 mandatory columns up by index, resolved once from the header.  It keeps
@@ -6,18 +6,24 @@ the rules of reading through ``csv.DictReader``: of duplicate header names
 the last one wins, extra fields are ignored, a blank row is skipped
 without being counted and a row too short to reach every mandatory column
 is skipped and counted.  Dates and times repeat heavily in real exports,
-so each distinct string is parsed once per call.  ``record_line`` formats
-one record as its ``records.jsonl`` line.
+so each distinct string is parsed once per call.  The result holds one
+column per attribute in file order: latitude and longitude as float64
+arrays for gridding, the rest as lists.  The counts stay Python ints, as
+a well-formed count may exceed int64.  ``records_jsonl`` formats the
+columns as ``records.jsonl`` lines.
 """
 
 from __future__ import annotations
 
 import csv
 import datetime as dt
+import functools
 import io
 import json
 import warnings
 from dataclasses import dataclass
+
+import numpy as np
 
 REQUIRED_COLUMNS = ("id", "date", "time", "day_of_week",
                     "latitude", "longitude", "vehicles", "casualties")
@@ -31,33 +37,18 @@ class IngestError(Exception):
     """Unusable input file: missing columns, unreadable CSV or no valid records."""
 
 
-@dataclass(frozen=True)
-class AccidentRecord:
-    """One accident report, restricted to attributes common across sources."""
-
-    id: str
-    date: dt.date
-    time: dt.time
-    day_of_week: int
-    latitude: float
-    longitude: float
-    vehicles: int
-    casualties: int
-
-    def __post_init__(self):
-        if not -90.0 <= self.latitude <= 90.0:
-            raise ValueError(f"latitude {self.latitude} outside [-90, 90]")
-        if not -180.0 <= self.longitude <= 180.0:
-            raise ValueError(f"longitude {self.longitude} outside [-180, 180]")
-        if not 1 <= self.day_of_week <= 7:
-            raise ValueError(f"day_of_week {self.day_of_week} outside 1..7")
-        if self.vehicles < 0 or self.casualties < 0:
-            raise ValueError("vehicle and casualty counts must be non-negative")
-
-
 @dataclass
 class IngestResult:
-    records: list[AccidentRecord]
+    """Kept accident reports as columns, plus the count of skipped rows."""
+
+    ids: list[str]
+    dates: list[dt.date]
+    times: list[dt.time]
+    day_of_week: list[int]
+    latitude: np.ndarray
+    longitude: np.ndarray
+    vehicles: list[int]
+    casualties: list[int]
     skipped: int
 
 
@@ -83,11 +74,13 @@ def ingest_accidents(csv_stream) -> IngestResult:
     """Parse accident reports; malformed rows are skipped and counted.
 
     ``csv_stream`` is a text file object (or anything ``csv.reader``
-    accepts).  Dates are dd/mm/yyyy, times HH:MM.  Rows that fail to parse
-    or violate record invariants are dropped with one summary warning; a
-    missing mandatory column, an empty file, a CSV the reader rejects (such
-    as a field over ``csv.field_size_limit``) or no valid record at all is
-    an ``IngestError``.
+    accepts).  Dates are dd/mm/yyyy, times HH:MM.  A row is kept when every
+    field parses and it has latitude in [-90, 90], longitude in
+    [-180, 180], day_of_week in 1..7 and non-negative vehicle and casualty
+    counts.  Other rows are dropped with one summary warning; a missing
+    mandatory column, an empty file, a CSV the reader rejects (such as a
+    field over ``csv.field_size_limit``) or no valid record at all is an
+    ``IngestError``.
     """
     if isinstance(csv_stream, (str, bytes)):
         csv_stream = io.StringIO(csv_stream.decode("utf-8")
@@ -104,9 +97,9 @@ def ingest_accidents(csv_stream) -> IngestResult:
         i_id, i_date, i_time, i_dow, i_lat, i_lon, i_veh, i_cas = (
             last[c] for c in REQUIRED_COLUMNS)
         width = max(last[c] for c in REQUIRED_COLUMNS) + 1
-        dates: dict = {}
-        times: dict = {}
-        records: list[AccidentRecord] = []
+        parse_date = functools.lru_cache(maxsize=None)(_parse_date)
+        parse_time = functools.lru_cache(maxsize=None)(_parse_time)
+        ids, dates, times, dows, lats, lons, vehicles, casualties = ([] for _ in range(8))
         skipped = 0
         for row in reader:
             if not row:
@@ -114,42 +107,51 @@ def ingest_accidents(csv_stream) -> IngestResult:
             if len(row) < width:
                 skipped += 1
                 continue
-            date_text, time_text = row[i_date], row[i_time]
-            try:
-                date = dates[date_text]
-            except KeyError:
-                date = dates[date_text] = _parse_date(date_text)
-            try:
-                time = times[time_text]
-            except KeyError:
-                time = times[time_text] = _parse_time(time_text)
+            date, time = parse_date(row[i_date]), parse_time(row[i_time])
             if date is None or time is None:
                 skipped += 1
                 continue
             try:
-                records.append(AccidentRecord(
-                    id=row[i_id].strip(), date=date, time=time,
-                    day_of_week=int(row[i_dow]),
-                    latitude=float(row[i_lat]), longitude=float(row[i_lon]),
-                    vehicles=int(row[i_veh]), casualties=int(row[i_cas])))
+                dow, lat, lon = int(row[i_dow]), float(row[i_lat]), float(row[i_lon])
+                veh, cas = int(row[i_veh]), int(row[i_cas])
             except _ROW_ERRORS:
                 skipped += 1
+                continue
+            if not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0 and 1 <= dow <= 7
+                    and veh >= 0 and cas >= 0):
+                skipped += 1
+                continue
+            ids.append(row[i_id].strip())
+            dates.append(date)
+            times.append(time)
+            dows.append(dow)
+            lats.append(lat)
+            lons.append(lon)
+            vehicles.append(veh)
+            casualties.append(cas)
     except csv.Error as e:
         source = getattr(csv_stream, "name", "accident CSV")
         raise IngestError(f"{source}: line {reader.line_num}: {e}") from e
     if skipped:
         warnings.warn(f"skipped {skipped} malformed accident row(s)", stacklevel=2)
-    if not records:
+    if not ids:
         raise IngestError("no records")
-    return IngestResult(records=records, skipped=skipped)
+    return IngestResult(ids=ids, dates=dates, times=times, day_of_week=dows,
+                        latitude=np.array(lats, dtype=np.float64),
+                        longitude=np.array(lons, dtype=np.float64),
+                        vehicles=vehicles, casualties=casualties, skipped=skipped)
 
 
-def record_line(r: AccidentRecord) -> str:
-    """One ``records.jsonl`` line: the bytes of ``json.dumps`` with sorted keys
-    and compact separators, plus a newline.  The floats are finite (the record
-    invariants), so their JSON form is ``repr``.
+def records_jsonl(result: IngestResult):
+    """The ``records.jsonl`` lines, one per record: the bytes of ``json.dumps``
+    with sorted keys and compact separators, plus a newline.  The floats are
+    finite (ingest skips the rest), so their JSON form is ``repr``.
     """
-    return (f'{{"casualties":{r.casualties},"date":"{r.date.isoformat()}",'
-            f'"day_of_week":{r.day_of_week},"id":{json.dumps(r.id)},'
-            f'"latitude":{r.latitude!r},"longitude":{r.longitude!r},'
-            f'"time":"{r.time.hour:02d}:{r.time.minute:02d}","vehicles":{r.vehicles}}}\n')
+    for rid, date, time, dow, lat, lon, veh, cas in zip(
+            result.ids, result.dates, result.times, result.day_of_week,
+            result.latitude.tolist(), result.longitude.tolist(),
+            result.vehicles, result.casualties):
+        yield (f'{{"casualties":{cas},"date":"{date.isoformat()}",'
+               f'"day_of_week":{dow},"id":{json.dumps(rid)},'
+               f'"latitude":{lat!r},"longitude":{lon!r},'
+               f'"time":"{time.hour:02d}:{time.minute:02d}","vehicles":{veh}}}\n')

@@ -2,13 +2,16 @@
 
 Everything here favors obviousness over speed: plain nested loops, no
 vectorization, no shared code with the package under test.  The accident
-and grid oracles build the package's record and spec types, so that their
-results compare equal, but parse, project and count on their own.
+oracle builds one ``NaiveRecord`` per row; the grid oracle builds the
+package's spec type, so that specs compare equal, but projects and counts
+on its own.
 """
 
 from __future__ import annotations
 
+import datetime as dt
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -220,19 +223,44 @@ def coral_cov_naive(feats: np.ndarray) -> np.ndarray:
     return centered.T @ centered / (len(feats) - 1)
 
 
+@dataclass(frozen=True)
+class NaiveRecord:
+    """One accident report; construction enforces the five record invariants."""
+
+    id: str
+    date: dt.date
+    time: dt.time
+    day_of_week: int
+    latitude: float
+    longitude: float
+    vehicles: int
+    casualties: int
+
+    def __post_init__(self):
+        if not -90.0 <= self.latitude <= 90.0:
+            raise ValueError(f"latitude {self.latitude} outside [-90, 90]")
+        if not -180.0 <= self.longitude <= 180.0:
+            raise ValueError(f"longitude {self.longitude} outside [-180, 180]")
+        if not 1 <= self.day_of_week <= 7:
+            raise ValueError(f"day_of_week {self.day_of_week} outside 1..7")
+        if self.vehicles < 0:
+            raise ValueError(f"negative vehicle count {self.vehicles}")
+        if self.casualties < 0:
+            raise ValueError(f"negative casualty count {self.casualties}")
+
+
 def ingest_accidents_naive(text: str):
     """Accident CSV through ``csv.DictReader``, one dict per row.
 
-    Returns ``(records, skipped)`` or raises ``IngestError`` with the
-    package's messages.  ``OverflowError`` (a year or hour too large for
-    ``dt.date`` / ``dt.time``) counts as a malformed row.  The records are
-    the package's ``AccidentRecord`` so that they compare equal.
+    Returns ``(records, skipped)`` with one ``NaiveRecord`` per kept row, or
+    raises ``IngestError`` with the package's messages.  ``OverflowError``
+    (a year or hour too large for ``dt.date`` / ``dt.time``) counts as a
+    malformed row.
     """
     import csv
-    import datetime as dt
     import io
 
-    from safemap.geo.records import REQUIRED_COLUMNS, AccidentRecord, IngestError
+    from safemap.geo.records import REQUIRED_COLUMNS, IngestError
 
     reader = csv.DictReader(io.StringIO(text, newline=""))
     if reader.fieldnames is None:
@@ -245,7 +273,7 @@ def ingest_accidents_naive(text: str):
         try:
             day, month, year = row["date"].strip().split("/")
             hh, mm = row["time"].strip().split(":")[:2]
-            records.append(AccidentRecord(
+            records.append(NaiveRecord(
                 id=row["id"].strip(),
                 date=dt.date(int(year), int(month), int(day)),
                 time=dt.time(int(hh), int(mm)),
@@ -274,16 +302,16 @@ def records_jsonl_naive(records) -> str:
         for r in records)
 
 
-def build_grid_naive(records, cell_size_m: float):
+def build_grid_naive(lats, lons, cell_size_m: float):
     """Bounding-box grid with one scalar projection and floor per record.
 
-    Returns ``(spec, cells)`` with the package's ``GridSpec``, whose checks
-    raise ``GridError`` for a bad cell size or too many cells.
+    ``lats`` and ``lons`` are sequences of Python floats.  Returns
+    ``(spec, cells)``, one (col, row) tuple per record, with the package's
+    ``GridSpec``, whose checks raise ``GridError`` for a bad cell size or
+    too many cells.
     """
     from safemap.geo.grid import EARTH_RADIUS_M, GridSpec
 
-    lats = [r.latitude for r in records]
-    lons = [r.longitude for r in records]
     lat0 = (min(lats) + max(lats)) / 2.0
     lon0 = (min(lons) + max(lons)) / 2.0
     m_per_deg_lat = EARTH_RADIUS_M * math.pi / 180.0

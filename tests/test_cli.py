@@ -265,6 +265,19 @@ class TestPipeline:
         assert len(scores) == 1 + grid_report["columns"] * grid_report["rows"]
         assert_no_orphans(run)
 
+    def test_huge_vehicle_count_reaches_records_jsonl(self, tmp_path):
+        # 10**30 vehicles: well formed, non-negative and beyond int64
+        csv_path = tmp_path / "accidents.csv"
+        csv_path.write_text(ACCIDENTS_CSV.replace(",2,1\n", f",{10**30},1\n", 1),
+                            encoding="utf-8")
+        run = tmp_path / "run"
+        cfg = write_config(tmp_path / "c.json",
+                           {"paths": {"run_dir": str(run), "accidents_csv": str(csv_path)}})
+        assert main(["ingest", "--config", cfg]) == EXIT_OK
+        first = (run / "records.jsonl").read_text(encoding="utf-8").splitlines()[0]
+        assert f'"vehicles":{10**30}}}' in first
+        assert json.loads(first)["vehicles"] == 10**30
+
     def test_label_matches_binning_oracle(self, tmp_path):
         scores = [0, 0, 1, 9, 10]
         scores_csv = tmp_path / "scores.csv"
@@ -489,6 +502,39 @@ class TestTraining:
         capsys.readouterr()
         assert (cam_run / "cam.pgm").read_bytes().startswith(b"P5\n64 64\n255\n")
         assert_no_orphans(cam_run)
+
+    def test_adaptation_stays_finite_on_the_default_model(self, tmp_path, capsys):
+        """The default da_mode model, trained on the inputs where the unscaled
+        alignment term diverged: source and target synth at seeds 12 and 13
+        (34 and 64 tiles per class, jitter 4, splits 0.35/0.15/0.5), 2 source
+        epochs, then 3 train-da epochs at lam 0.01 and at the default lam."""
+        def run(sub, name, doc):
+            doc = dict(doc, paths=dict(doc["paths"], run_dir=str(tmp_path / name)))
+            code = main([sub, "--config", write_config(tmp_path / f"{name}.json", doc)])
+            assert code == EXIT_OK, capsys.readouterr().err
+            return tmp_path / name
+
+        def synth(name, per_class, style, seed):
+            return run("synth", name, {
+                "synth": {"n_per_class": per_class, "image_hw": [64, 64], "jitter_px": 4,
+                          "domain_style": style, "seed": seed},
+                "pipeline": {"split_fractions": [0.35, 0.15, 0.5]}, "paths": {}}) / "synth"
+
+        source, target = synth("source", 34, "source", 12), synth("target", 64, "target", 13)
+        model = {"da_mode": True}
+        source_paths = {"manifest": str(source / "manifest.jsonl"), "image_root": str(source)}
+        train = run("train", "train", {"model": model, "train": {"epochs": 2},
+                                       "paths": source_paths})
+        pseudo = run("pseudo-label", "pseudo", {"model": model, "paths": {
+            "target_manifest": str(target / "manifest.jsonl"),
+            "target_image_root": str(target),
+            "checkpoint": str(train / "checkpoint.ckpt")}})
+        paths = dict(source_paths, target_manifest=str(pseudo / "manifest.pseudo.jsonl"),
+                     target_image_root=str(target), val_manifest=str(target / "manifest.jsonl"),
+                     checkpoint=str(train / "checkpoint.ckpt"))
+        for name, da in (("da_small", {"epochs": 3, "lam": 0.01}), ("da_default", {"epochs": 3})):
+            adapted = run("train-da", name, {"model": model, "da": da, "paths": paths})
+            assert len((adapted / "metrics.csv").read_text().splitlines()) == 1 + 2 * 3
 
     def test_adaptation_chain(self, synth_run, tmp_path, capsys):
         """synth target -> train -> pseudo-label -> train-da -> eval -> map-export."""

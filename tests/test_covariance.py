@@ -139,15 +139,30 @@ class TestLossDa:
         tgt = FeatureBatch(x=xs.copy(), y=ys.copy())
         assert float(loss_da(src, tgt).data) == 0.0
 
-    def test_substitution_case_equals_8(self):
+    def test_substitution_case_equals_0_3125(self):
         # source covariances are (16, 12); target x=[0,3], y=[1,1] has
-        # within 2*(3^2) + 0 = 18 and between 2*(1) + 2*(4) = 10, so the
-        # loss is (16-18)^2 + (12-10)^2 = 8, exact in float arithmetic
+        # within 2*(3^2) + 0 = 18 and between 2*(1) + 2*(4) = 10. Both domains
+        # have 2 + 2 rows, so within is divided by 2^2 + 2^2 = 8 and between
+        # by 2*2 = 4: (16/8 - 18/8)^2 + (12/4 - 10/4)^2 = 0.3125, exact in
+        # float arithmetic
         tx, ty = np.array([[0.0], [3.0]]), np.array([[1.0], [1.0]])
         assert np.array_equal(cov_within_naive(tx, ty), [[18.0]])
         assert np.array_equal(cov_between_naive(tx, ty), [[10.0]])
         src = FeatureBatch(x=np.array([[0.0], [2.0]]), y=np.array([[1.0], [3.0]]))
-        assert float(loss_da(src, FeatureBatch(x=tx, y=ty)).data) == 8.0
+        assert float(loss_da(src, FeatureBatch(x=tx, y=ty)).data) == 0.3125
+
+    def test_row_duplication_invariance(self):
+        # every pair count grows 4x with each row doubled, and so does every
+        # pair sum, so the per-pair term does not depend on the batch size
+        rng = np.random.default_rng(21)
+        xs, ys = rng.normal(size=(3, 4)), rng.normal(size=(5, 4))
+        tx, ty = rng.normal(size=(4, 4)), rng.normal(size=(2, 4)) + 1.0
+        base = float(loss_da(FeatureBatch(x=xs, y=ys), FeatureBatch(x=tx, y=ty)).data)
+        twice = [np.concatenate([f, f]) for f in (xs, ys, tx, ty)]
+        doubled = float(loss_da(FeatureBatch(x=twice[0], y=twice[1]),
+                                FeatureBatch(x=twice[2], y=twice[3])).data)
+        assert base > 0.0
+        assert doubled == pytest.approx(base, rel=1e-12)
 
     def test_nonnegative_and_zero_iff_matching(self):
         rng = np.random.default_rng(5)

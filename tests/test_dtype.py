@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from safemap.adapt.covariance import FeatureBatch, loss_coral, loss_da
-from safemap.autodiff import Tape, Tensor, backward, nn_ops, softmax_cross_entropy
+from safemap.autodiff import Tape, Tensor, backward, nn_ops, softmax_cross_entropy, tensor_sum
 from safemap.autodiff import tensor as tensor_mod
 from safemap.model import DamConfig, forward, init_params, predict
 from safemap.model.training import batch_tensor
@@ -130,7 +130,7 @@ def test_python_scalar_takes_the_tensor_dtype(expr, dtype):
     t = Tensor(data, requires_grad=True)
     with Tape():
         out = _SCALAR_OPS[expr](t)
-        backward(out.sum())
+        backward(tensor_sum(out))
     assert out.data.dtype == dtype and t.grad.dtype == dtype
     np.testing.assert_array_equal(out.data, _SCALAR_OPS[expr](data))
 

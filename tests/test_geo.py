@@ -1,7 +1,6 @@
 """Ingestion, gridding, scoring, and pixmap IO."""
 
 import io
-import math
 
 import numpy as np
 import pytest
@@ -18,16 +17,14 @@ from safemap.geo import (
     write_pgm,
     write_ppm,
 )
-from safemap.geo.records import AccidentRecord
 
 HEADER = "id,date,time,day_of_week,latitude,longitude,vehicles,casualties\n"
 
 
-def make_record(lat, lon, rid="r"):
-    import datetime as dt
-    return AccidentRecord(id=rid, date=dt.date(2019, 3, 12), time=dt.time(17, 45),
-                          day_of_week=2, latitude=lat, longitude=lon,
-                          vehicles=2, casualties=1)
+def coords(*points):
+    """(lats, lons) float64 arrays of (lat, lon) points."""
+    lats, lons = np.array(points, dtype=np.float64).reshape(-1, 2).T
+    return lats, lons
 
 
 class TestIngest:
@@ -35,11 +32,12 @@ class TestIngest:
         csv = HEADER + "101,12/03/2019,17:45,2,51.5847,0.2793,2,1\n"
         result = ingest_accidents(io.StringIO(csv))
         assert result.skipped == 0
-        r = result.records[0]
-        assert (r.latitude, r.longitude) == (51.5847, 0.2793)
-        assert (r.vehicles, r.casualties) == (2, 1)
-        assert r.date.isoformat() == "2019-03-12"
-        assert r.day_of_week == 2
+        assert result.ids == ["101"]
+        assert (result.latitude.tolist(), result.longitude.tolist()) == ([51.5847], [0.2793])
+        assert (result.vehicles, result.casualties) == ([2], [1])
+        assert result.dates[0].isoformat() == "2019-03-12"
+        assert (result.times[0].hour, result.times[0].minute) == (17, 45)
+        assert result.day_of_week == [2]
 
     def test_header_only_is_error(self):
         with pytest.raises(IngestError, match="no records"):
@@ -60,8 +58,7 @@ class TestIngest:
         with pytest.warns(UserWarning, match="skipped 1"):
             result = ingest_accidents(io.StringIO(csv))
         assert result.skipped == 1
-        assert len(result.records) == 1
-        assert result.records[0].id == "2"
+        assert result.ids == ["2"]
 
     def test_out_of_range_latitude_skipped(self):
         csv = HEADER + "1,12/03/2019,17:45,2,95.0,0.0,1,0\n" \
@@ -73,20 +70,21 @@ class TestIngest:
     def test_rows_kept_in_file_order(self):
         csv = HEADER + "".join(f"{i},12/03/2019,17:45,2,51.{i},0.1,1,0\n" for i in range(5))
         result = ingest_accidents(io.StringIO(csv))
-        assert [r.id for r in result.records] == ["0", "1", "2", "3", "4"]
+        assert result.ids == ["0", "1", "2", "3", "4"]
+        assert result.latitude.tolist() == [51.0, 51.1, 51.2, 51.3, 51.4]
 
 
 class TestBuildGrid:
     def test_single_record_gives_1x1(self):
-        spec, cells = build_grid([make_record(51.5, 0.1)], cell_size_m=30)
+        spec, cols, rows = build_grid(*coords((51.5, 0.1)), cell_size_m=30)
         assert (spec.columns, spec.rows) == (1, 1)
-        assert cells == [(0, 0)]
+        assert (cols.tolist(), rows.tolist()) == ([0], [0])
+        assert cols.dtype == rows.dtype == np.int64
 
     def test_two_records_45m_apart_split_at_30m(self):
         # 0.000404 deg of longitude at the equator is about 44.9 m
-        recs = [make_record(0.0, 0.0, "a"), make_record(0.0, 0.000404, "b")]
-        spec, cells = build_grid(recs, cell_size_m=30)
-        assert cells == [(0, 0), (1, 0)]
+        spec, cols, rows = build_grid(*coords((0.0, 0.0), (0.0, 0.000404)), cell_size_m=30)
+        assert (cols.tolist(), rows.tolist()) == ([0, 1], [0, 0])
         assert (spec.columns, spec.rows) == (2, 1)
         x, _ = spec.project(0.0, 0.000404)
         assert x == pytest.approx(44.9, abs=0.1)
@@ -103,55 +101,53 @@ class TestBuildGrid:
 
     def test_grid_covers_all_records(self):
         rng = np.random.default_rng(0)
-        recs = [make_record(51.5 + rng.uniform(0, 0.01), rng.uniform(0, 0.01), str(i))
-                for i in range(200)]
-        spec, cells = build_grid(recs, cell_size_m=30)
-        for col, row in cells:
-            assert 0 <= col < spec.columns
-            assert 0 <= row < spec.rows
+        lats, lons = 51.5 + rng.uniform(0, 0.01, 200), rng.uniform(0, 0.01, 200)
+        spec, cols, rows = build_grid(lats, lons, cell_size_m=30)
+        assert ((0 <= cols) & (cols < spec.columns)).all()
+        assert ((0 <= rows) & (rows < spec.rows)).all()
 
     def test_cell_center_round_trips_into_same_cell(self):
         rng = np.random.default_rng(1)
-        recs = [make_record(40.0 + rng.uniform(0, 0.005), -73.0 + rng.uniform(0, 0.005), str(i))
-                for i in range(50)]
-        spec, cells = build_grid(recs, cell_size_m=25)
-        for col, row in set(cells):
+        lats, lons = 40.0 + rng.uniform(0, 0.005, 50), -73.0 + rng.uniform(0, 0.005, 50)
+        spec, cols, rows = build_grid(lats, lons, cell_size_m=25)
+        for col, row in set(zip(cols.tolist(), rows.tolist())):
             lat, lon = spec.cell_center(col, row)
             assert spec.cell_of(lat, lon) == (col, row)
 
     def test_zero_cell_size_rejected(self):
         with pytest.raises(GridError, match="positive"):
-            build_grid([make_record(0, 0)], cell_size_m=0)
+            build_grid(*coords((0.0, 0.0)), cell_size_m=0)
+
+    def test_no_records_rejected(self):
+        with pytest.raises(GridError, match="at least one record"):
+            build_grid(np.array([]), np.array([]))
 
 
 class TestScoreCells:
     def test_five_records_one_cell(self):
-        recs = [make_record(51.5, 0.1, str(i)) for i in range(5)]
-        spec, cells = build_grid(recs, cell_size_m=30)
-        scored = score_cells(spec, cells)
-        assert scored.score(0, 0) == 5
-        assert scored.total == 5
+        spec, cols, rows = build_grid(*coords(*[(51.5, 0.1)] * 5), cell_size_m=30)
+        counts = score_cells(spec, cols, rows)
+        assert counts.tolist() == [[5]]
 
     def test_conservation_on_random_fixtures(self):
         for seed in range(10):
             rng = np.random.default_rng(seed)
             n = int(rng.integers(1, 300))
-            recs = [make_record(10 + rng.uniform(0, 0.02), 20 + rng.uniform(0, 0.02), str(i))
-                    for i in range(n)]
-            spec, cells = build_grid(recs, cell_size_m=40)
-            scored = score_cells(spec, cells)
-            assert scored.total == n
+            lats, lons = 10 + rng.uniform(0, 0.02, n), 20 + rng.uniform(0, 0.02, n)
+            spec, cols, rows = build_grid(lats, lons, cell_size_m=40)
+            counts = score_cells(spec, cols, rows)
+            assert counts.shape == (spec.rows, spec.columns)
+            assert int(counts.sum()) == n
 
     def test_counts_match_bruteforce_recount(self):
         rng = np.random.default_rng(7)
-        recs = [make_record(-5 + rng.uniform(0, 0.01), 30 + rng.uniform(0, 0.01), str(i))
-                for i in range(120)]
-        spec, cells = build_grid(recs, cell_size_m=35)
-        scored = score_cells(spec, cells)
+        lats, lons = -5 + rng.uniform(0, 0.01, 120), 30 + rng.uniform(0, 0.01, 120)
+        spec, cols, rows = build_grid(lats, lons, cell_size_m=35)
+        counts = score_cells(spec, cols, rows)
+        cells = list(zip(cols.tolist(), rows.tolist()))
         for row in range(spec.rows):
             for col in range(spec.columns):
-                recount = sum(1 for c in cells if c == (col, row))
-                assert scored.score(col, row) == recount
+                assert counts[row, col] == cells.count((col, row))
 
 
 class TestPixmaps:

@@ -3,16 +3,16 @@
 Generated accident CSVs hold blank, short and long rows, duplicate header
 names, quoted commas, padded whitespace, impossible dates, ``nan``/``inf``/
 ``1_000`` numbers and ids with quotes, backslashes, control characters and
-non-ASCII text.  On each, ``ingest_accidents`` must keep and skip the rows
-the ``csv.DictReader`` oracle does, ``record_line`` must give the bytes of
-``json.dumps``, and ``build_grid`` / ``score_cells`` must give the oracle's
-spec, cells and counts.  Whatever the input, only ``IngestError`` may
+non-ASCII text.  On each, ``ingest_accidents`` must keep, in its columns,
+the values of the rows the ``csv.DictReader`` oracle keeps and skip the
+others, ``records_jsonl`` must give the bytes of ``json.dumps``, and
+``build_grid`` / ``score_cells`` must give the oracle's spec, cells and
+counts.  Whatever the input, only ``IngestError`` may
 escape ``ingest_accidents``.  ``derandomize`` keeps the examples the same
 on every run.
 """
 
 import csv
-import datetime as dt
 import io
 import warnings
 
@@ -22,13 +22,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from safemap.geo.grid import GridError, build_grid, score_cells
-from safemap.geo.records import (
-    REQUIRED_COLUMNS,
-    AccidentRecord,
-    IngestError,
-    ingest_accidents,
-    record_line,
-)
+from safemap.geo.records import REQUIRED_COLUMNS, IngestError, ingest_accidents, records_jsonl
 
 from oracles import (
     build_grid_naive,
@@ -104,8 +98,7 @@ def accident_csvs(draw):
 def _ingest(text):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        result = ingest_accidents(io.StringIO(text, newline=""))
-    return result.records, result.skipped
+        return ingest_accidents(io.StringIO(text, newline=""))
 
 
 def _outcome(fn, *args, error):
@@ -116,6 +109,18 @@ def _outcome(fn, *args, error):
         return None, str(e)
 
 
+# IngestResult column -> oracle record field
+COLUMNS = {"ids": "id", "dates": "date", "times": "time", "day_of_week": "day_of_week",
+           "latitude": "latitude", "longitude": "longitude", "vehicles": "vehicles",
+           "casualties": "casualties"}
+
+
+def _cells(cols, rows):
+    """build_grid's int64 cell arrays as the oracle's (col, row) tuples."""
+    assert cols.dtype == rows.dtype == np.int64
+    return list(zip(cols.tolist(), rows.tolist()))
+
+
 @FUZZ
 @given(accident_csvs(), st.sampled_from([5.0, 30, 250.0]))
 def test_ingest_and_grid_match_oracles(text, cell_size_m):
@@ -124,21 +129,25 @@ def test_ingest_and_grid_match_oracles(text, cell_size_m):
     assert got_err == want_err
     if want is None:
         return
-    assert got == want
-    records = got[0]
-    assert "".join(map(record_line, records)) == records_jsonl_naive(records)
-    grid, grid_err = _outcome(build_grid, records, cell_size_m, error=GridError)
-    want_grid, want_grid_err = _outcome(build_grid_naive, records, cell_size_m,
+    records, skipped = want
+    assert got.skipped == skipped
+    assert got.latitude.dtype == got.longitude.dtype == np.float64
+    for column, field in COLUMNS.items():
+        assert list(getattr(got, column)) == [getattr(r, field) for r in records], column
+    assert "".join(records_jsonl(got)) == records_jsonl_naive(records)
+    lats, lons = [r.latitude for r in records], [r.longitude for r in records]
+    grid, grid_err = _outcome(build_grid, got.latitude, got.longitude, cell_size_m,
+                              error=GridError)
+    want_grid, want_grid_err = _outcome(build_grid_naive, lats, lons, cell_size_m,
                                         error=GridError)
     assert grid_err == want_grid_err
     if want_grid is None:
         return
-    assert grid == want_grid
-    spec, cells = grid
-    assert all(type(c) is int and type(r) is int for c, r in cells)
-    counts = score_cells(spec, cells).counts
+    spec, cols, rows = grid
+    assert (spec, _cells(cols, rows)) == want_grid
+    counts = score_cells(spec, cols, rows)
     assert counts.dtype == np.int64
-    np.testing.assert_array_equal(counts, score_cells_naive(spec, cells))
+    np.testing.assert_array_equal(counts, score_cells_naive(spec, want_grid[1]))
 
 
 @FUZZ
@@ -157,12 +166,6 @@ def test_field_over_csv_limit_is_ingest_error():
         ingest_accidents(io.StringIO(text, newline=""))
 
 
-def _record(lat, lon):
-    return AccidentRecord(id="r", date=dt.date(2019, 3, 12), time=dt.time(17, 45),
-                          day_of_week=2, latitude=lat, longitude=lon,
-                          vehicles=2, casualties=1)
-
-
 # corners and repeated points of a small box, so cells meet the boundary
 COORDS = st.tuples(
     st.one_of(st.floats(-0.002, 0.002), st.sampled_from([-0.002, 0.0, 0.002])),
@@ -175,11 +178,13 @@ COORDS = st.tuples(
        st.sampled_from([1.0, 7.5, 30, 44.9]))
 def test_grid_cells_bit_identical_to_scalar_projection(offsets, centre, cell_size_m):
     lat0, lon0 = centre
-    records = [_record(min(lat0 + dy, 90.0), min(lon0 + dx, 180.0)) for dy, dx in offsets]
-    spec, cells = build_grid(records, cell_size_m)
-    assert (spec, cells) == build_grid_naive(records, cell_size_m)
-    np.testing.assert_array_equal(score_cells(spec, cells).counts,
-                                  score_cells_naive(spec, cells))
+    lats = np.array([min(lat0 + dy, 90.0) for dy, _ in offsets])
+    lons = np.array([min(lon0 + dx, 180.0) for _, dx in offsets])
+    spec, cols, rows = build_grid(lats, lons, cell_size_m)
+    want_spec, want_cells = build_grid_naive(lats.tolist(), lons.tolist(), cell_size_m)
+    assert (spec, _cells(cols, rows)) == (want_spec, want_cells)
+    np.testing.assert_array_equal(score_cells(spec, cols, rows),
+                                  score_cells_naive(spec, want_cells))
 
 
 @FUZZ
@@ -187,22 +192,29 @@ def test_grid_cells_bit_identical_to_scalar_projection(offsets, centre, cell_siz
 def test_cells_on_a_boundary_floor_like_the_scalar_projection(offsets, pick, k):
     """The cell size is a record's projected distance from the origin over k,
     so that record (and any at the same longitude) sits on a cell boundary."""
-    records = [_record(LAT0 + dy, LON0 + dx) for dy, dx in offsets]
-    spec, _ = build_grid_naive(records, 30)
-    r = records[pick % len(records)]
-    x = (r.longitude - spec.origin_lon) * spec._meters_per_deg_lon
+    lats = [LAT0 + dy for dy, _ in offsets]
+    lons = [LON0 + dx for _, dx in offsets]
+    spec, _ = build_grid_naive(lats, lons, 30)
+    x = (lons[pick % len(lons)] - spec.origin_lon) * spec._meters_per_deg_lon
     if not x > 0:
         return
-    assert build_grid(records, x / k) == build_grid_naive(records, x / k)
+    # a tiny x makes a grid past the cell guard: both must raise the same error
+    got, got_err = _outcome(build_grid, np.array(lats), np.array(lons), x / k, error=GridError)
+    want, want_err = _outcome(build_grid_naive, lats, lons, x / k, error=GridError)
+    assert got_err == want_err
+    if want is not None:
+        spec, cols, rows = got
+        assert (spec, _cells(cols, rows)) == want
 
 
 @FUZZ
 @given(st.lists(st.tuples(st.integers(-3, 6), st.integers(-3, 5)), max_size=30))
 def test_score_cells_names_first_cell_outside(cells):
-    spec, _ = build_grid([_record(0.0, 0.0), _record(0.0011, 0.0013)], 30)
+    spec, _, _ = build_grid(np.array([0.0, 0.0011]), np.array([0.0, 0.0013]), 30)
     assert (spec.columns, spec.rows) == (5, 5)
-    got, got_err = _outcome(score_cells, spec, cells, error=GridError)
+    cols, rows = np.array(cells, dtype=np.int64).reshape(-1, 2).T
+    got, got_err = _outcome(score_cells, spec, cols, rows, error=GridError)
     want, want_err = _outcome(score_cells_naive, spec, cells, error=GridError)
     assert got_err == want_err
     if want is not None:
-        np.testing.assert_array_equal(got.counts, want)
+        np.testing.assert_array_equal(got, want)
