@@ -24,6 +24,11 @@ N = B*Ho*Wo); ``cols`` is kept for the backward pass.
 
 So the numpy call count stays O(kh*kw) whatever the image size.
 
+A recorded conv (see ``_records``) builds ``cols`` over the whole batch for
+its backward.  Any other forward runs sample blocks whose ``cols`` fits in
+``CHUNK_BYTES`` (the L2 cache; Goto & van de Geijn 2008): im2col into one
+buffer per call, GEMM, bias, transposed copy into the NCHW output.
+
 ROI pooling (and adaptive pooling, its full-map case) sums bins and
 spreads gradients with products by 0/1 bin matrices; see ``roi_avg_pool``.
 
@@ -47,7 +52,10 @@ from .tensor import (
     _accumulate,
     _as_tensor,
     _make_op,
+    _records,
 )
+
+CHUNK_BYTES = 4 << 20  # column-matrix bytes per sample block of a tape-free conv
 
 
 @dataclass(frozen=True)
@@ -80,11 +88,12 @@ def conv_out_size(size: int, kernel: int, stride: int, pad: int) -> int:
 
 
 def _im2col(xt: np.ndarray, kh: int, kw: int, stride: int, ph: int, pw: int,
-            Ho: int, Wo: int) -> np.ndarray:
+            Ho: int, Wo: int, out: Optional[np.ndarray] = None) -> np.ndarray:
     """Column matrix ``[C*kh*kw, B*Ho*Wo]`` of a channel-major ``[C, B, H, W]`` array.
 
     The input is zero-padded by ``ph`` rows and ``pw`` columns on each side;
     cols[(c, i, j), (b, oy, ox)] = xp[c, b, i + stride*oy, j + stride*ox].
+    ``out``: a flat buffer of exactly that size, so its reshape is a view.
     """
     C, B, H, W = xt.shape
     if ph or pw:
@@ -92,7 +101,8 @@ def _im2col(xt: np.ndarray, kh: int, kw: int, stride: int, ph: int, pw: int,
         xp[:, :, ph:ph + H, pw:pw + W] = xt
     else:
         xp = xt
-    cols6 = np.empty((C, kh, kw, B, Ho, Wo), dtype=xt.dtype)
+    cols6 = (np.empty(C * kh * kw * B * Ho * Wo, dtype=xt.dtype) if out is None
+             else out).reshape(C, kh, kw, B, Ho, Wo)
     for i in range(kh):
         for j in range(kw):
             cols6[:, i, j] = xp[:, :, i:i + stride * Ho:stride, j:j + stride * Wo:stride]
@@ -130,12 +140,19 @@ def conv2d(x, weight, bias=None, stride: int = 1, pad: int = 0) -> Tensor:
     K, N = Cin * kh * kw, B * Ho * Wo
     dt = x.data.dtype
 
-    cols = _im2col(x.data.transpose(1, 0, 2, 3), kh, kw, stride, pad, pad, Ho, Wo)
+    parents = (x, weight) if b_t is None else (x, weight, b_t)
+    step = B if _records(parents) else max(1, CHUNK_BYTES // (K * Ho * Wo * dt.itemsize))
+    buf = np.empty(K * min(step, B) * Ho * Wo, dtype=dt)
     w2 = weight.data.reshape(Cout, K).astype(dt, copy=False)
-    out2 = w2 @ cols  # [Cout, N]
-    if b_t is not None:
-        out2 += b_t.data.astype(dt, copy=False)[:, None]
-    out_data = np.ascontiguousarray(out2.reshape(Cout, B, Ho, Wo).transpose(1, 0, 2, 3))
+    out_data = np.empty((B, Cout, Ho, Wo), dtype=dt)
+    for b0 in range(0, B, step):
+        nb = min(step, B - b0)
+        cols = _im2col(x.data[b0:b0 + nb].transpose(1, 0, 2, 3), kh, kw, stride, pad, pad,
+                       Ho, Wo, out=buf[:K * nb * Ho * Wo])
+        out2 = w2 @ cols  # [Cout, nb*Ho*Wo]
+        if b_t is not None:
+            out2 += b_t.data.astype(dt, copy=False)[:, None]
+        out_data[b0:b0 + nb] = out2.reshape(Cout, nb, Ho, Wo).transpose(1, 0, 2, 3)
 
     def bwd(g):
         # g: [B, Cout, Ho, Wo] -> g2: [Cout, N], matching the column order of cols
@@ -156,7 +173,6 @@ def conv2d(x, weight, bias=None, stride: int = 1, pad: int = 0) -> Tensor:
         else:
             _accumulate(x, _col2im(w2.T @ g2, x.shape, kh, kw, stride, pad, Ho, Wo))
 
-    parents = (x, weight) if b_t is None else (x, weight, b_t)
     return _make_op(out_data, parents, bwd, "conv2d")
 
 

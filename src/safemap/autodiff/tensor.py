@@ -215,17 +215,21 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     return g.reshape(shape)
 
 
+def _records(parents: Sequence[Tensor]) -> bool:
+    """Whether an op goes on the tape: one is active and some parent needs a gradient."""
+    return _active_tape() is not None and any(p.requires_grad for p in parents)
+
+
 def _make_op(out_data: np.ndarray, parents: Sequence[Tensor],
              backward_fn: Callable[[np.ndarray], None], op: str) -> Tensor:
     out_data = _as_float(out_data)
     _check_finite(out_data, op)
-    requires = any(p.requires_grad for p in parents)
     # checked above under the op's name, so skip the constructor's check
     out = Tensor.__new__(Tensor)
-    out.data, out.grad, out.requires_grad, out.name = out_data, None, requires, None
-    tape = _active_tape()
-    if requires and tape is not None:
-        tape._record(out, backward_fn)
+    out.data, out.grad, out.name = out_data, None, None
+    out.requires_grad = any(p.requires_grad for p in parents)
+    if _records(parents):
+        _active_tape()._record(out, backward_fn)
     return out
 
 
@@ -276,12 +280,11 @@ def div(a, b) -> Tensor:
 
 def relu(a) -> Tensor:
     a = _as_tensor(a)
-    mask = a.data > 0.0
 
     def bwd(g):
-        _accumulate(a, g * mask)
+        _accumulate(a, g * (a.data > 0.0))
 
-    return _make_op(np.where(mask, a.data, 0.0), (a,), bwd, "relu")
+    return _make_op(np.maximum(a.data, 0.0), (a,), bwd, "relu")
 
 
 def matmul(a, b) -> Tensor:

@@ -7,6 +7,8 @@ and '#' comments in the header, per the format family's grammar.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 
 
@@ -59,9 +61,11 @@ def _read_header_tokens(f, n: int) -> list[int]:
             if not ch or ch in b" \t\r\n":
                 break
             tok += ch
+        if not tok.isdigit():  # ASCII digits only: int() also takes "-1", "+3", "1_0"
+            raise PpmError(f"bad header token {tok!r}")
         try:
             tokens.append(int(tok))
-        except ValueError as e:
+        except ValueError as e:  # more digits than int() converts
             raise PpmError(f"bad header token {tok!r}") from e
     return tokens
 
@@ -73,8 +77,11 @@ def _read_pnm(path, magic: bytes, channels: int) -> np.ndarray:
         w, h, maxval = _read_header_tokens(f, 3)
         if maxval != 255:
             raise PpmError(f"{path}: only 8-bit pixmaps supported, maxval={maxval}")
-        raw = f.read(w * h * channels)
-        if len(raw) != w * h * channels:
+        if w < 1 or h < 1:
+            raise PpmError(f"{path}: empty {w}x{h} image")
+        size = w * h * channels  # read only what the file holds: no header sets the allocation
+        raw = f.read(size) if size <= os.fstat(f.fileno()).st_size - f.tell() else b""
+        if len(raw) != size:
             raise PpmError(f"{path}: truncated pixel data")
     arr = np.frombuffer(raw, dtype=np.uint8)
     return arr.reshape((h, w, channels) if channels > 1 else (h, w)).copy()

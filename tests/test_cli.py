@@ -1,13 +1,18 @@
 """CLI contract: subcommands, exit codes, run artifacts, determinism."""
 
 import csv
+import ctypes
 import dataclasses
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import safemap
 from safemap.autodiff import save_checkpoint
 from safemap.cli import (
     COMMANDS,
@@ -686,3 +691,43 @@ class TestLoadParams:
         assert main(["cam", "--config", cfg]) == EXIT_DATA
         err = capsys.readouterr().err
         assert f"safemap: error: {message}\n" == err
+
+    @pytest.mark.parametrize("size", [b"-1 -1", b"-2 3", b"99999999999 99999999999",
+                                      b"100000 100000", b"0 5"])
+    def test_cam_on_bad_pixmap_size_exits_2(self, tmp_path, capsys, size):
+        cfg = write_config(tmp_path / "cam.json", {
+            "model": SMALL_MODEL,
+            "paths": {"run_dir": str(tmp_path / "c"),
+                      "checkpoint": str(self.checkpoint(tmp_path, SMALL_MODEL)),
+                      "image": str(tmp_path / "tile.ppm")}})
+        (tmp_path / "tile.ppm").write_bytes(b"P6\n" + size + b"\n255\n" + bytes(8))
+        assert main(["cam", "--config", cfg]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("safemap: error: ") and err.count("\n") == 1
+
+
+# 16 MiB of float32: above glibc's default mmap threshold, so at glibc's defaults
+# the free unmaps it and the second array faults in again (496 minor faults on a
+# 2-vCPU Linux VM)
+KEPT_HEAP_PROBE = """
+import resource
+import numpy as np
+import safemap.cli
+a = np.ones(1 << 22, np.float32)
+del a
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+a = np.ones(1 << 22, np.float32)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+def test_cli_process_keeps_freed_arrays():
+    try:
+        ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        pytest.skip("libc has no mallopt")
+    src = str(Path(safemap.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", KEPT_HEAP_PROBE], env=env, check=True,
+                         capture_output=True, text=True)
+    assert int(out.stdout) < 64

@@ -4,7 +4,9 @@ Valid documents, generated from the config dataclasses' own annotations,
 must round-trip byte for byte. Documents broken by one mutation (a wrong
 scalar type, a wrong tuple length, NaN or Infinity, an unknown key at any
 depth, a section that is not an object) must raise only the parser's
-declared error. ``derandomize`` keeps the examples the same on every run.
+declared error. ``derandomize`` fixes the examples for a given set of
+imported modules; Hypothesis also draws literals from every imported local
+module, so a one-file run and a full-suite run can see different ones.
 """
 
 import dataclasses

@@ -205,6 +205,59 @@ class TestConv2dFloat32:
         _close32(b.grad, gb)
 
 
+def _count_im2col(monkeypatch):
+    """Spy on nn_ops._im2col; returns the list its calls append to."""
+    real, calls = nn_ops._im2col, []
+    monkeypatch.setattr(nn_ops, "_im2col",
+                        lambda *a, **k: calls.append(a[0].shape[1]) or real(*a, **k))
+    return calls
+
+
+class TestConv2dBlocks:
+    """A tape-free conv streams sample blocks of CHUNK_BYTES; a recorded one runs one block."""
+
+    @staticmethod
+    def _inputs(batch, stride, pad, k):
+        rng = np.random.default_rng([batch, stride, pad, k])
+        x = Tensor(rng.normal(size=(batch, 3, 9, 8)).astype(np.float32))
+        return x, Tensor(rng.normal(size=(4, 3, k, k))), Tensor(rng.normal(size=4))
+
+    @pytest.mark.parametrize("per_block", [1, 2])
+    @pytest.mark.parametrize("batch", [1, 4, 5])
+    @pytest.mark.parametrize("stride,pad,k", list(itertools.product([1, 2], [0, 1], [1, 3])))
+    def test_blocks_match_one_block(self, monkeypatch, per_block, batch, stride, pad, k):
+        x, w, b = self._inputs(batch, stride, pad, k)
+        whole = conv2d(x, w, b, stride=stride, pad=pad).data
+        Ho, Wo = whole.shape[2:]
+        monkeypatch.setattr(nn_ops, "CHUNK_BYTES", per_block * 3 * k * k * Ho * Wo * 4)
+        calls = _count_im2col(monkeypatch)
+        blocks = conv2d(x, w, b, stride=stride, pad=pad).data
+        assert calls == [min(per_block, batch - b0) for b0 in range(0, batch, per_block)]
+        assert blocks.dtype == np.float32 and blocks.flags.c_contiguous
+        np.testing.assert_allclose(blocks, whole, rtol=1e-5, atol=1e-5 * np.abs(whole).max())
+
+    def test_im2col_fills_the_given_buffer(self):
+        xt = np.random.default_rng(0).normal(size=(2, 3, 5, 6))
+        buf = np.empty(2 * 3 * 3 * 3 * 3 * 4)
+        cols = nn_ops._im2col(xt, 3, 3, 1, 0, 0, 3, 4, out=buf)
+        assert np.shares_memory(cols, buf)
+        np.testing.assert_array_equal(cols, nn_ops._im2col(xt, 3, 3, 1, 0, 0, 3, 4))
+
+    @pytest.mark.parametrize("stride,pad", [(1, 1), (2, 0)])
+    def test_recorded_conv_runs_one_block(self, monkeypatch, stride, pad):
+        x, w, b = self._inputs(5, stride, pad, 3)
+        wp, bp = parameter(w.data, name="w"), parameter(b.data, name="b")
+        out, _ = _conv_backward(x, wp, bp, stride, pad, seed=5)
+        want = (out.data, wp.grad, bp.grad)
+        wp.grad = bp.grad = None
+        monkeypatch.setattr(nn_ops, "CHUNK_BYTES", 1)
+        calls = _count_im2col(monkeypatch)
+        out, _ = _conv_backward(x, wp, bp, stride, pad, seed=5)
+        assert calls[0] == 5  # the forward's one block; a backward may add its own call
+        for got, exp in zip((out.data, wp.grad, bp.grad), want):
+            assert got.tobytes() == exp.tobytes()
+
+
 class TestFloat32Outputs:
     """Every op on the model's path keeps a float32 input float32."""
 
@@ -282,6 +335,21 @@ class TestRelu:
     def test_elementwise_max(self):
         out = relu(Tensor([-1.0, 0.0, 2.0]))
         np.testing.assert_array_equal(out.data, [0.0, 0.0, 2.0])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bit_equal_to_masked_where(self, dtype):
+        fi = np.finfo(dtype)
+        a = np.array([-0.0, 0.0, fi.smallest_subnormal, -fi.smallest_subnormal,
+                      fi.tiny / 2, -fi.tiny / 2, 1.0, -1.0, fi.max, -fi.max], dtype=dtype)
+        out = relu(Tensor(a)).data
+        assert out.dtype == dtype
+        assert out.tobytes() == np.where(a > 0, a, 0.0).astype(dtype).tobytes()
+
+    def test_gradient_is_zero_at_zero(self):
+        x = parameter(np.array([-0.0, 0.0, 5e-324, -1.0, 2.0]), name="x")
+        with Tape():
+            backward(tensor_sum(relu(x)))
+        assert x.grad.tobytes() == np.array([0.0, 0.0, 1.0, 0.0, 1.0]).tobytes()
 
 
 class TestAdaptiveAvgPool:
