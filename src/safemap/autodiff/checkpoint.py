@@ -19,11 +19,18 @@ Metadata is an arbitrary JSON object; trainers embed their resolved config
 so a checkpoint is self-describing.  Serialization is canonical, so equal
 parameters and metadata produce byte-identical files.  The file is written
 atomically: a failed save leaves the previous checkpoint as it was.
+
+Loading trusts no length in the file: the metadata, each name, each
+parameter's value count (the product of its dims, taken in Python ints)
+and the values themselves must fit in the bytes that are left, and every
+value must be finite.  Anything else is a ``CheckpointError``, which names
+the parameter when its values are at fault.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
 from typing import Optional, Sequence
 
@@ -77,61 +84,69 @@ def save_checkpoint(path, params: Sequence[Tensor], meta: Optional[dict] = None)
             f.write(arr.astype("<f8", copy=False).tobytes(order="C"))
 
 
-def _read_exact(f, n: int, what: str) -> bytes:
-    buf = f.read(n)
-    if len(buf) != n:
-        raise CheckpointError(f"truncated checkpoint while reading {what}")
-    return buf
-
-
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
-    """Read a checkpoint; returns (name -> float64 array, metadata dict)."""
-    with open(path, "rb") as f:
-        if _read_exact(f, len(MAGIC), "magic") != MAGIC:
+    """Read a checkpoint; returns (name -> float64 array, metadata dict).
+
+    The file after the magic is read in one call and parsed in memory.
+    Every length is checked against the bytes left before it is used, so a
+    header that claims more than the file holds is a ``CheckpointError``
+    before anything of the claimed size is allocated.  Each array is an
+    owned, writable copy.
+    """
+    with open(path, "rb", buffering=0) as f:  # unbuffered: the rest is one read
+        magic = f.read(len(MAGIC))
+        if len(magic) != len(MAGIC):
+            raise CheckpointError("truncated checkpoint while reading magic")
+        if magic != MAGIC:
             raise CheckpointError(f"{path}: not a parameter checkpoint (bad magic)")
-        (version,) = struct.unpack("<I", _read_exact(f, 4, "version"))
-        if version != VERSION:
-            raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
-        (meta_len,) = struct.unpack("<I", _read_exact(f, 4, "metadata length"))
+        buf = f.read()
+    pos = 0
+
+    def take(n: int, what: str) -> int:
+        """Claim the next ``n`` bytes; returns their offset."""
+        nonlocal pos
+        if n > len(buf) - pos:
+            raise CheckpointError(f"truncated checkpoint while reading {what}")
+        pos += n
+        return pos - n
+
+    def u32(what: str) -> int:
+        return struct.unpack_from("<I", buf, take(4, what))[0]
+
+    version = u32("version")
+    if version != VERSION:
+        raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
+    meta_len = u32("metadata length")
+    at = take(meta_len, "metadata")
+    try:
+        meta = json.loads(buf[at:pos].decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as e:
+        raise CheckpointError(f"{path}: corrupt metadata: {e}") from e
+    if not isinstance(meta, dict):
+        raise CheckpointError(f"{path}: metadata must be a JSON object, "
+                              f"got {type(meta).__name__}")
+    count = u32("parameter count")
+    out: dict[str, np.ndarray] = {}
+    for _ in range(count):
+        (name_len,) = struct.unpack_from("<H", buf, take(2, "name length"))
+        at = take(name_len, "name")
         try:
-            meta = json.loads(_read_exact(f, meta_len, "metadata").decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as e:
-            raise CheckpointError(f"{path}: corrupt metadata: {e}") from e
-        if not isinstance(meta, dict):
-            raise CheckpointError(f"{path}: metadata must be a JSON object, "
-                                  f"got {type(meta).__name__}")
-        (count,) = struct.unpack("<I", _read_exact(f, 4, "parameter count"))
-        out: dict[str, np.ndarray] = {}
-        for _ in range(count):
-            (name_len,) = struct.unpack("<H", _read_exact(f, 2, "name length"))
-            try:
-                name = _read_exact(f, name_len, "name").decode("utf-8")
-            except UnicodeDecodeError as e:
-                raise CheckpointError(f"{path}: parameter name is not UTF-8: {e}") from e
-            if name in out:
-                raise CheckpointError(f"{path}: duplicate parameter {name!r}")
-            (ndim,) = struct.unpack("<B", _read_exact(f, 1, "ndim"))
-            shape = tuple(struct.unpack("<I", _read_exact(f, 4, "dim"))[0] for _ in range(ndim))
-            k = int(np.prod(shape)) if shape else 1
-            raw = _read_exact(f, 8 * k, f"values of {name!r}")
-            out[name] = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
-        if f.read(1):
-            raise CheckpointError(f"{path}: trailing bytes after last parameter")
+            name = buf[at:pos].decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise CheckpointError(f"{path}: parameter name is not UTF-8: {e}") from e
+        if name in out:
+            raise CheckpointError(f"{path}: duplicate parameter {name!r}")
+        ndim = buf[take(1, "ndim")]
+        shape = struct.unpack_from(f"<{ndim}I", buf, take(4 * ndim, "dims"))
+        k = math.prod(shape)  # a Python int: a lying header cannot overflow it
+        at = take(8 * k, f"values of {name!r}")
+        arr = np.frombuffer(buf, dtype="<f8", count=k, offset=at).astype(np.float64)
+        if not np.isfinite(arr).all():
+            raise CheckpointError(f"{path}: parameter {name!r} holds non-finite values")
+        try:  # numpy caps the dims at 64 and the nominal size, empty arrays included
+            out[name] = arr.reshape(shape)
+        except ValueError as e:
+            raise CheckpointError(f"{path}: parameter {name!r} has unusable shape: {e}") from e
+    if pos != len(buf):
+        raise CheckpointError(f"{path}: trailing bytes after last parameter")
     return out, meta
-
-
-def restore_params(params: Sequence[Tensor], loaded: dict[str, np.ndarray]) -> None:
-    """Copy loaded values into an existing parameter set, matching by name."""
-    by_name = {p.name: p for p in params}
-    missing = sorted(set(by_name) - set(loaded))
-    extra = sorted(set(loaded) - set(by_name))
-    if missing or extra:
-        raise CheckpointError(
-            f"parameter set mismatch: missing from file {missing}, unexpected in file {extra}")
-    for name, arr in loaded.items():
-        p = by_name[name]
-        if p.data.shape != arr.shape:
-            raise CheckpointError(
-                f"shape mismatch for {name!r}: model {p.data.shape}, file {arr.shape}")
-        p.data[...] = arr
-        p.grad = None

@@ -41,6 +41,7 @@ accumulate into float64 buffers.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -208,12 +209,11 @@ def _bin_edges(length: int, out: int) -> np.ndarray:
     return edges.astype(np.int64)
 
 
-def _check_bins(length: int, out: int, what: str) -> np.ndarray:
+def _check_bins(length: int, out: int, what: str) -> None:
     if out < 1:
         raise ShapeError(f"{what}: output size must be positive, got {out}")
     if length < out:
         raise ShapeError(f"{what}: cannot pool extent {length} down to {out} bins without empty bins")
-    return _bin_edges(length, out)
 
 
 def adaptive_avg_pool(x, out_hw: tuple) -> Tensor:
@@ -230,13 +230,29 @@ def _bin_matrix(edges: np.ndarray, dtype) -> np.ndarray:
     return ((pos >= edges[:-1, None]) & (pos < edges[1:, None])).astype(dtype)
 
 
+@functools.lru_cache(maxsize=64)
+def _pool_matrices(extent: tuple, bins: tuple, dtype) -> tuple:
+    """Read-only ``(Ph, Pw, area)`` for pooling an ``extent`` window into ``bins``.
+
+    A model pools a handful of fixed shapes, so each is built once per
+    process and dtype; callers check the bins with ``_check_bins`` first.
+    """
+    he, we = _bin_edges(extent[0], bins[0]), _bin_edges(extent[1], bins[1])
+    mats = (_bin_matrix(he, dtype), _bin_matrix(we, dtype),
+            np.outer(np.diff(he), np.diff(we)).astype(dtype))
+    for m in mats:
+        m.flags.writeable = False
+    return mats
+
+
 def roi_avg_pool(x, rect: Rect, out_hw: tuple) -> Tensor:
     """Adaptive average pooling restricted to a rectangular window of the map.
 
     With 0/1 bin matrices ``Ph`` [oh, h] and ``Pw`` [ow, w], the bin sums of
     the window are ``Ph @ window @ Pw.T``; dividing by the bin areas gives
     the means.  The backward pass is ``Ph.T @ (g / area) @ Pw`` into the
-    window of one zero buffer.  Neither pass loops over bins in Python.
+    window of one zero buffer.  Neither pass loops over bins in Python, and
+    the matrices of each (extent, bins, dtype) are built once per process.
     """
     x = _as_tensor(x)
     if x.data.ndim != 4:
@@ -245,11 +261,9 @@ def roi_avg_pool(x, rect: Rect, out_hw: tuple) -> Tensor:
     if rect.bottom > H or rect.right > W:
         raise ShapeError(f"rect {rect} exceeds feature map {H}x{W}")
     oh, ow = out_hw
-    he = _check_bins(rect.height, oh, "roi_avg_pool rows")
-    we = _check_bins(rect.width, ow, "roi_avg_pool cols")
-    dtype = x.data.dtype
-    ph, pw = _bin_matrix(he, dtype), _bin_matrix(we, dtype)
-    area = np.outer(np.diff(he), np.diff(we)).astype(dtype)
+    _check_bins(rect.height, oh, "roi_avg_pool rows")
+    _check_bins(rect.width, ow, "roi_avg_pool cols")
+    ph, pw, area = _pool_matrices((rect.height, rect.width), (oh, ow), x.data.dtype)
     window = np.s_[:, :, rect.top:rect.bottom, rect.left:rect.right]
     out_data = ph @ x.data[window] @ pw.T / area
 

@@ -199,9 +199,11 @@ def _as_tensor(x, like=None) -> Tensor:
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
     if not t.requires_grad:
         return
-    if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+    if t.grad is None:  # the first write is a copy: no zero fill, no aliasing of g
+        t.grad = np.empty_like(t.data)
+        np.copyto(t.grad, g, casting="same_kind")
+    else:
+        t.grad += g
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:

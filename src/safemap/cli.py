@@ -20,8 +20,13 @@ error (unreadable or inconsistent inputs). All outputs land under the
 config's run directory next to ``config.resolved.json`` and
 ``run_manifest.json``, which declares every file in that directory, those
 of earlier subcommands that shared it included; rerunning with identical
-inputs and seed reproduces each artifact byte for byte. One run
-per process; concurrent runs must use distinct run directories.
+inputs and seed reproduces each artifact byte for byte. Concurrent runs
+must use distinct run directories.
+
+``main()`` may be called any number of times in one process, one run per
+call. The argument parser is built once, on the first call, and reused:
+each call parses its own arguments into a fresh namespace. The model's
+pooling matrices are likewise built once per shape (see ``roi_avg_pool``).
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ from __future__ import annotations
 import argparse
 import ctypes
 import csv
+import functools
 import json
 import os
 import sys
@@ -43,7 +49,6 @@ from .autodiff import (
     NonFiniteError,
     TensorError,
     load_checkpoint,
-    restore_params,
     save_checkpoint,
 )
 from .fileio import atomic_open
@@ -247,12 +252,20 @@ def cmd_synth(cfg: RunConfig, run: RunDir) -> None:
 
 
 def _load_params(cfg: RunConfig):
-    """Lay out the model section's parameters and restore checkpoint weights."""
+    """The model section's parameters, in layout order, holding the checkpoint's arrays."""
     loaded, meta = load_checkpoint(_require(cfg.paths.checkpoint, "checkpoint"))
+    layout = param_layout(cfg.model)
+    names = {name for name, _, _ in layout}
+    missing, extra = sorted(names - set(loaded)), sorted(set(loaded) - names)
+    if missing or extra:
+        raise CheckpointError(
+            f"parameter set mismatch: missing from file {missing}, unexpected in file {extra}")
     params = DamParams()
-    for name, shape, _ in param_layout(cfg.model):
-        params.add(name, np.zeros(shape))
-    restore_params(params.all(), loaded)
+    for name, shape, _ in layout:
+        if loaded[name].shape != shape:
+            raise CheckpointError(
+                f"shape mismatch for {name!r}: model {shape}, file {loaded[name].shape}")
+        params.add(name, loaded[name])
     return params, meta
 
 
@@ -393,7 +406,9 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The CLI's parser, built on the first call and shared by every later one."""
     parser = _Parser(prog="safemap",
                      description="Road-safety mapping pipeline and experiments.")
     sub = parser.add_subparsers(dest="subcommand", metavar="subcommand")

@@ -19,9 +19,9 @@ import csv
 import datetime as dt
 import functools
 import io
-import json
 import warnings
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -145,13 +145,17 @@ def ingest_accidents(csv_stream) -> IngestResult:
 def records_jsonl(result: IngestResult):
     """The ``records.jsonl`` lines, one per record: the bytes of ``json.dumps``
     with sorted keys and compact separators, plus a newline.  The floats are
-    finite (ingest skips the rest), so their JSON form is ``repr``.
+    finite (ingest skips the rest), so their JSON form is ``repr``; ids are
+    quoted by ``encode_basestring_ascii``, as ``json.dumps`` quotes a ``str``.
+    Each distinct date and time is formatted once per call.
     """
+    date_text = {d: d.isoformat() for d in set(result.dates)}
+    time_text = {t: f"{t.hour:02d}:{t.minute:02d}" for t in set(result.times)}
     for rid, date, time, dow, lat, lon, veh, cas in zip(
-            result.ids, result.dates, result.times, result.day_of_week,
+            map(encode_basestring_ascii, result.ids),
+            map(date_text.__getitem__, result.dates),
+            map(time_text.__getitem__, result.times), result.day_of_week,
             result.latitude.tolist(), result.longitude.tolist(),
             result.vehicles, result.casualties):
-        yield (f'{{"casualties":{cas},"date":"{date.isoformat()}",'
-               f'"day_of_week":{dow},"id":{json.dumps(rid)},'
-               f'"latitude":{lat!r},"longitude":{lon!r},'
-               f'"time":"{time.hour:02d}:{time.minute:02d}","vehicles":{veh}}}\n')
+        yield (f'{{"casualties":{cas},"date":"{date}","day_of_week":{dow},"id":{rid},'
+               f'"latitude":{lat!r},"longitude":{lon!r},"time":"{time}","vehicles":{veh}}}\n')

@@ -1,15 +1,30 @@
-"""Checkpoint container round-trips and format guarantees."""
+"""Checkpoint container round-trips and format guarantees.
+
+The fuzz tests cut a small valid checkpoint at every offset, flip and
+insert bytes in its structure (everything but the values) and give it
+random dims.  A load either returns finite float64 arrays or raises
+``CheckpointError``; nothing else may escape.  Restoring into a model is
+tested through ``cli._load_params`` in ``test_cli.py``.
+"""
+
+import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from safemap.autodiff import (
     CheckpointError,
     load_checkpoint,
     parameter,
-    restore_params,
     save_checkpoint,
 )
+from safemap.autodiff.checkpoint import MAGIC, VERSION
+
+FUZZ = settings(derandomize=True, database=None, deadline=None, max_examples=300,
+                suppress_health_check=[HealthCheck.too_slow])
 
 
 def make_params(seed=0):
@@ -39,25 +54,6 @@ def test_byte_identical_for_equal_state(tmp_path):
     save_checkpoint(a, make_params(1), meta={"seed": 1})
     save_checkpoint(b, make_params(1), meta={"seed": 1})
     assert a.read_bytes() == b.read_bytes()
-
-
-def test_restore_into_model(tmp_path):
-    src = make_params(2)
-    path = tmp_path / "m.ckpt"
-    save_checkpoint(path, src, meta={})
-    dst = make_params(3)
-    loaded, _ = load_checkpoint(path)
-    restore_params(dst, loaded)
-    for s, d in zip(src, dst):
-        np.testing.assert_array_equal(s.data, d.data)
-
-
-def test_restore_rejects_name_mismatch(tmp_path):
-    path = tmp_path / "m.ckpt"
-    save_checkpoint(path, make_params()[:2], meta={})
-    loaded, _ = load_checkpoint(path)
-    with pytest.raises(CheckpointError, match="mismatch"):
-        restore_params(make_params(), loaded)
 
 
 def test_bad_magic_rejected(tmp_path):
@@ -147,3 +143,153 @@ def test_any_flipped_metadata_byte_raises_only_checkpoint_error(tmp_path):
             else:
                 assert isinstance(meta, dict)
             path.write_bytes(clean)
+
+
+def blob(params, meta=b"{}"):
+    """A checkpoint's bytes from (name, dims, value bytes) records, dims taken as given."""
+    out = MAGIC + struct.pack("<II", VERSION, len(meta)) + meta + struct.pack("<I", len(params))
+    for name, dims, values in params:
+        out += struct.pack(f"<H{len(name)}sB{len(dims)}I", len(name), name, len(dims), *dims)
+        out += values
+    return out
+
+
+def test_blob_matches_save_checkpoint(tmp_path):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, [parameter(np.arange(6.0).reshape(2, 3), name="w")], meta={})
+    assert path.read_bytes() == blob([(b"w", (2, 3), np.arange(6.0).tobytes())])
+
+
+@pytest.mark.parametrize("dims", [(2**32 - 1, 2**32 - 1), (2**30, 2**10)])
+def test_lying_dims_raise_checkpoint_error(tmp_path, dims):
+    # used to end in "read length must be non-negative" and in a MemoryError
+    path = tmp_path / "m.ckpt"
+    path.write_bytes(blob([(b"w", dims, bytes(64))]))
+    with pytest.raises(CheckpointError, match="truncated checkpoint while reading values of 'w'"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("dims", [(0, 2**30, 2**30), (1,) * 65])
+def test_shapes_numpy_cannot_hold_raise_checkpoint_error(tmp_path, dims):
+    path = tmp_path / "m.ckpt"
+    path.write_bytes(blob([(b"w", dims, bytes(8 * math.prod(dims)))]))
+    with pytest.raises(CheckpointError, match="parameter 'w' has unusable shape"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_values_rejected_naming_the_parameter(tmp_path, bad):
+    values = np.ones(4)
+    values[2] = bad
+    path = tmp_path / "m.ckpt"
+    path.write_bytes(blob([(b"ok", (1,), np.ones(1).tobytes()),
+                           (b"conv.weight", (2, 2), values.tobytes())]))
+    with pytest.raises(CheckpointError, match="parameter 'conv.weight' holds non-finite values"):
+        load_checkpoint(path)
+
+
+def test_loaded_arrays_are_owned_and_writable(tmp_path):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, make_params(), meta={})
+    loaded, _ = load_checkpoint(path)
+    for arr in loaded.values():
+        assert arr.flags.writeable and arr.flags.c_contiguous
+        assert arr.base is None or arr.base.flags.owndata
+
+
+def small_checkpoint(tmp_path):
+    path = tmp_path / "small.ckpt"
+    params = [parameter(np.array([[1.5, -0.0], [2.0, 3.0]]), name="w"),
+              parameter(np.array([7.0]), name="b")]
+    save_checkpoint(path, params, meta={"k": [1]})
+    return path.read_bytes()
+
+
+def value_spans(clean):
+    """[start, stop) of each parameter's values in a ``small_checkpoint`` file."""
+    (meta_len,) = struct.unpack_from("<I", clean, 12)
+    pos = 16 + meta_len
+    (count,) = struct.unpack_from("<I", clean, pos)
+    pos += 4
+    spans = []
+    for _ in range(count):
+        (n,) = struct.unpack_from("<H", clean, pos)
+        ndim = clean[pos + 2 + n]
+        dims = struct.unpack_from(f"<{ndim}I", clean, pos + 3 + n)
+        pos += 3 + n + 4 * ndim
+        spans.append((pos, pos + 8 * math.prod(dims)))
+        pos = spans[-1][1]
+    return spans
+
+
+def load_or_checkpoint_error(path):
+    try:
+        loaded, meta = load_checkpoint(path)
+    except CheckpointError:
+        return None
+    assert isinstance(meta, dict)
+    for arr in loaded.values():
+        assert arr.dtype == np.float64 and np.isfinite(arr).all()
+    return loaded
+
+
+def test_truncation_at_every_offset_raises_checkpoint_error(tmp_path):
+    clean = small_checkpoint(tmp_path)
+    path = tmp_path / "cut.ckpt"
+    for cut in range(len(clean)):
+        path.write_bytes(clean[:cut])
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("ckpt")
+
+
+@FUZZ
+@given(data=st.data())
+def test_structure_flips_and_insertions_raise_only_checkpoint_error(fuzz_dir, data):
+    clean = small_checkpoint(fuzz_dir)
+    spans = value_spans(clean)
+    structure = [i for i in range(len(clean)) if not any(a <= i < b for a, b in spans)]
+    mutated = bytearray(clean)
+    for _ in range(data.draw(st.integers(1, 3))):
+        at = data.draw(st.sampled_from(structure))
+        if data.draw(st.booleans()):
+            mutated[at] ^= data.draw(st.integers(1, 255))
+        else:
+            mutated[at:at] = data.draw(st.binary(min_size=1, max_size=8))
+    path = fuzz_dir / "mutated.ckpt"
+    path.write_bytes(bytes(mutated))
+    load_or_checkpoint_error(path)
+
+
+@FUZZ
+@given(dims=st.lists(st.one_of(st.integers(0, 4), st.integers(0, 2**32 - 1)), max_size=4),
+       n_values=st.integers(0, 8))
+def test_random_dims_load_only_when_they_match_the_values(fuzz_dir, dims, n_values):
+    path = fuzz_dir / "dims.ckpt"
+    path.write_bytes(blob([(b"w", dims, np.arange(float(n_values)).tobytes())]))
+    loaded = load_or_checkpoint_error(path)
+    if math.prod(dims) != n_values:
+        assert loaded is None
+    elif max(dims, default=0) <= 4:  # small enough for numpy's nominal size
+        assert loaded is not None and loaded["w"].shape == tuple(dims)
+
+
+@FUZZ
+@given(arrays=st.lists(
+    st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=0, max_size=6),
+    min_size=1, max_size=3))
+def test_valid_files_round_trip_bit_equal(fuzz_dir, arrays):
+    params = [parameter(np.array(a, dtype=np.float64), name=f"p{i}")
+              for i, a in enumerate(arrays)]
+    path = fuzz_dir / "valid.ckpt"
+    save_checkpoint(path, params, meta={"n": len(params)})
+    loaded, meta = load_checkpoint(path)
+    assert meta == {"n": len(params)}
+    assert list(loaded) == [p.name for p in params]
+    for p in params:
+        assert loaded[p.name].shape == p.data.shape
+        assert loaded[p.name].tobytes() == p.data.tobytes()

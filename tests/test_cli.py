@@ -5,6 +5,7 @@ import ctypes
 import dataclasses
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +14,8 @@ import numpy as np
 import pytest
 
 import safemap
-from safemap.autodiff import save_checkpoint
+from safemap.autodiff import CheckpointError, save_checkpoint
+from safemap.autodiff.checkpoint import MAGIC, VERSION
 from safemap.cli import (
     COMMANDS,
     EXIT_DATA,
@@ -103,6 +105,32 @@ class TestParser:
         assert "argument --seed: must be non-negative, got -3" in err
         assert "Traceback" not in err
         assert not (tmp_path / "run").exists()
+
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_calls_in_one_process_parse_independently(self, tmp_path, capsys):
+        csv_path = tmp_path / "acc.csv"
+        csv_path.write_text(ACCIDENTS_CSV, encoding="utf-8")
+        synth = write_config(tmp_path / "s.json", {
+            "paths": {"run_dir": str(tmp_path / "s")}, "synth": {"n_per_class": 1}})
+        ingest = write_config(tmp_path / "i.json", {
+            "paths": {"run_dir": str(tmp_path / "i"), "accidents_csv": str(csv_path)}})
+        assert main(["synth", "--config", synth, "--seed", "5"]) == EXIT_OK
+        assert main(["ingest", "--config", ingest]) == EXIT_OK
+        assert main(["synth", "--config", synth, "--seed", "9"]) == EXIT_OK
+        first = json.loads((tmp_path / "s" / "config.resolved.json").read_text())
+        second = json.loads((tmp_path / "i" / "config.resolved.json").read_text())
+        assert first["synth"]["seed"] == first["pipeline"]["seed"] == 9
+        assert second["synth"]["seed"] == second["pipeline"]["seed"] == 0
+        manifest = json.loads((tmp_path / "i" / "run_manifest.json").read_text())
+        assert manifest["subcommand"] == "ingest" and "records.jsonl" in manifest["files"]
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["ingest", "--config", ingest, "--seed"])
+        assert exc.value.code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("usage: safemap ingest") and "Traceback" not in err
 
 
 class TestConfigErrors:
@@ -652,6 +680,52 @@ class TestLoadParams:
         ckpt = tmp_path / "m.ckpt"
         save_checkpoint(ckpt, init_params(DamConfig.from_dict(model), seed=5).all())
         return ckpt
+
+    def cam_config(self, tmp_path, ckpt):
+        (tmp_path / "tile.ppm").write_bytes(b"P6\n64 64\n255\n" + bytes(64 * 64 * 3))
+        return write_config(tmp_path / "cam.json", {
+            "model": SMALL_MODEL,
+            "paths": {"run_dir": str(tmp_path / "c"), "checkpoint": str(ckpt),
+                      "image": str(tmp_path / "tile.ppm")}})
+
+    def test_restore_into_model(self, tmp_path):
+        ckpt = self.checkpoint(tmp_path, SMALL_MODEL)
+        model = DamConfig.from_dict(SMALL_MODEL)
+        params, _ = _load_params(RunConfig(model=model, paths=PathsSection(checkpoint=str(ckpt))))
+        for got, want in zip(params.all(), init_params(model, seed=5).all()):
+            assert got.name == want.name
+            np.testing.assert_array_equal(got.data, want.data)
+            assert got.data.dtype == np.float64 and got.data.flags.writeable
+
+    def test_restore_rejects_name_mismatch(self, tmp_path):
+        ckpt = tmp_path / "m.ckpt"
+        save_checkpoint(ckpt, init_params(DamConfig.from_dict(SMALL_MODEL), seed=5).all()[:2])
+        cfg = RunConfig(model=DamConfig.from_dict(SMALL_MODEL),
+                        paths=PathsSection(checkpoint=str(ckpt)))
+        with pytest.raises(CheckpointError, match="parameter set mismatch"):
+            _load_params(cfg)
+
+    @pytest.mark.parametrize("dims", [(2**32 - 1, 2**32 - 1), (2**30, 2**10)])
+    def test_cam_on_lying_checkpoint_dims_exits_2(self, tmp_path, capsys, dims):
+        ckpt = tmp_path / "lying.ckpt"
+        name = b"stage1.down.weight"
+        ckpt.write_bytes(MAGIC + struct.pack("<II", VERSION, 2) + b"{}" + struct.pack("<I", 1)
+                         + struct.pack("<H", len(name)) + name + struct.pack("<B2I", 2, *dims)
+                         + bytes(64))
+        assert main(["cam", "--config", self.cam_config(tmp_path, ckpt)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err == ("safemap: error: truncated checkpoint while reading values of "
+                       "'stage1.down.weight'\n")
+
+    def test_cam_on_non_finite_weights_exits_2(self, tmp_path, capsys):
+        params = init_params(DamConfig.from_dict(SMALL_MODEL), seed=5)
+        params["stage2.res1.weight"].data[0, 1, 2, 0] = np.nan
+        ckpt = tmp_path / "nan.ckpt"
+        save_checkpoint(ckpt, params.all())
+        assert main(["cam", "--config", self.cam_config(tmp_path, ckpt)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err == (f"safemap: error: {ckpt}: parameter 'stage2.res1.weight' holds "
+                       "non-finite values\n")
 
     def test_restores_checkpoint_without_drawing_weights(self, tmp_path, monkeypatch):
         ckpt = self.checkpoint(tmp_path, SMALL_MODEL)

@@ -418,6 +418,49 @@ class TestRoiAvgPool:
         with pytest.raises(ShapeError, match="empty bins"):
             roi_avg_pool(Tensor(np.zeros((1, 1, 8, 8))), Rect(0, 4, 0, 4), (7, 7))
 
+    def test_bins_checked_on_every_call(self):
+        x = Tensor(np.zeros((1, 1, 8, 8)))
+        roi_avg_pool(x, Rect(0, 4, 0, 4), (2, 2))
+        for out_hw, message in (((0, 2), "must be positive"), ((2, 5), "empty bins")):
+            with pytest.raises(ShapeError, match=message):
+                roi_avg_pool(x, Rect(0, 4, 0, 4), out_hw)
+
+
+class TestPoolMatrixCache:
+    @staticmethod
+    def fresh(extent, bins, dtype):
+        """The (Ph, Pw, area) of one pool, built with loops from the bin rule."""
+        def matrix(length, out):
+            m = np.zeros((out, length), dtype)
+            for i in range(out):
+                m[i, i * length // out:(i + 1) * length // out] = 1
+            return m
+        ph, pw = matrix(extent[0], bins[0]), matrix(extent[1], bins[1])
+        return ph, pw, np.outer(ph.sum(axis=1), pw.sum(axis=1)).astype(dtype)
+
+    @pytest.mark.parametrize("extent,bins", [((15, 16), (7, 7)), ((31, 31), (7, 7)),
+                                             ((9, 4), (7, 2)), ((5, 6), (5, 6))])
+    def test_equal_to_fresh_and_read_only(self, extent, bins):
+        for dtype in (np.dtype(np.float32), np.dtype(np.float64)):
+            cached = nn_ops._pool_matrices(extent, bins, dtype)
+            for got, want in zip(cached, self.fresh(extent, bins, dtype)):
+                assert got.dtype == dtype
+                assert got.tobytes() == want.tobytes() and got.shape == want.shape
+                assert not got.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    got[...] = 0
+
+    def test_keyed_by_dtype(self):
+        f32 = nn_ops._pool_matrices((12, 10), (3, 4), np.dtype(np.float32))
+        f64 = nn_ops._pool_matrices((12, 10), (3, 4), np.dtype(np.float64))
+        assert nn_ops._pool_matrices((12, 10), (3, 4), np.dtype(np.float32)) is f32
+        assert [m.dtype for m in f32] == [np.float32] * 3
+        assert [m.dtype for m in f64] == [np.float64] * 3
+        x = np.random.default_rng(0).normal(size=(1, 2, 12, 10))
+        out32 = roi_avg_pool(Tensor(x.astype(np.float32)), Rect(0, 12, 0, 10), (3, 4))
+        out64 = roi_avg_pool(Tensor(x), Rect(0, 12, 0, 10), (3, 4))
+        assert out32.data.dtype == np.float32 and out64.data.dtype == np.float64
+
 
 # (map hw, rect, out hw): a rect grid, then the model's own shapes, the
 # SQ4 blocks of the 31x31 stage-2 map and the 7x7 -> 7x7 fusion pool
@@ -608,6 +651,17 @@ class TestTapeAndErrors:
         with Tape():
             backward(tensor_sum(x + x))
         np.testing.assert_array_equal(x.grad, [2.0])
+
+    def test_first_gradient_is_a_copy_in_the_buffers_dtype(self):
+        from safemap.autodiff.tensor import _accumulate
+        x = parameter(np.zeros(3), name="x")
+        g = np.array([1.5, -0.0, 2.0], dtype=np.float32)
+        _accumulate(x, g)
+        assert x.grad.dtype == np.float64 and not np.shares_memory(x.grad, g)
+        g[0] = 7.0
+        assert x.grad.tolist() == [1.5, 0.0, 2.0] and np.signbit(x.grad[1])
+        _accumulate(x, np.ones(3))
+        assert x.grad.tolist() == [2.5, 1.0, 3.0]
 
     def test_nan_input_rejected(self):
         with pytest.raises(NonFiniteError):
