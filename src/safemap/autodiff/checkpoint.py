@@ -37,6 +37,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ..fileio import atomic_open
+from ..jsoncodec import dumps
 from .tensor import Tensor, TensorError
 
 MAGIC = b"SAFEMAPC"
@@ -45,10 +46,6 @@ VERSION = 1
 
 class CheckpointError(TensorError):
     """Corrupt, truncated, or incompatible checkpoint file."""
-
-
-def _canonical_json(obj) -> bytes:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
 def save_checkpoint(path, params: Sequence[Tensor], meta: Optional[dict] = None) -> None:
@@ -62,7 +59,7 @@ def save_checkpoint(path, params: Sequence[Tensor], meta: Optional[dict] = None)
         names.add(p.name)
     if meta is not None and not isinstance(meta, dict):
         raise CheckpointError(f"metadata must be a dict, got {type(meta).__name__}")
-    meta_bytes = _canonical_json(meta if meta is not None else {})
+    meta_bytes = dumps(meta if meta is not None else {}).encode("utf-8")
     with atomic_open(path, "wb") as f:
         f.write(MAGIC)
         f.write(struct.pack("<I", VERSION))

@@ -64,6 +64,7 @@ from .geo.manifest import (
 from .geo.ppm import PpmError, read_ppm
 from .geo.records import IngestError, ingest_accidents, records_jsonl
 from .geo.synth import SynthError, synth_generate
+from .jsoncodec import dumps
 from .model.config import ConfigError
 from .model.network import DamParams, param_layout, predict
 # not called here, but the traced benchmark (bench/layers.py TARGETS) wraps it
@@ -130,7 +131,7 @@ class RunDir:
         return self.root / rel
 
     def write_json(self, rel: str, obj) -> None:
-        self.write_text(rel, json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
+        self.write_text(rel, dumps(obj) + "\n")
 
     def write_text(self, rel: str, text: str) -> None:
         with atomic_open(self.path(rel), "w", encoding="utf-8") as f:
@@ -143,13 +144,10 @@ class RunDir:
         shared it are declared too, and a file the run never wrote (it
         failed first) is not.
         """
-        path = self.root / "run_manifest.json"
         found = (os.path.relpath(os.path.join(base, name), self.root).replace(os.sep, "/")
                  for base, _, names in os.walk(self.root) for name in names)
-        files = sorted(f for f in found if f != path.name)
-        with atomic_open(path, "w", encoding="utf-8") as f:
-            f.write(json.dumps({"subcommand": subcommand, "files": files},
-                               sort_keys=True, separators=(",", ":")) + "\n")
+        files = sorted(f for f in found if f != "run_manifest.json")
+        self.write_json("run_manifest.json", {"subcommand": subcommand, "files": files})
 
 
 def _require(value: Optional[str], key: str) -> str:

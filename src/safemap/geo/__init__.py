@@ -15,7 +15,7 @@ from .manifest import (
 )
 from .ppm import PpmError, read_pgm, read_ppm, write_pgm, write_ppm
 from .records import IngestError, IngestResult, ingest_accidents
-from .synth import SynthError, SynthImageMeta, SynthResult, load_synth_meta, synth_generate
+from .synth import SynthError, SynthImageMeta, SynthResult, synth_generate
 
 __all__ = [
     "BinResult",
@@ -39,7 +39,6 @@ __all__ = [
     "ingest_accidents",
     "kmeans_bin",
     "load_manifest",
-    "load_synth_meta",
     "read_pgm",
     "read_ppm",
     "save_manifest",

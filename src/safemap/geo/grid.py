@@ -8,8 +8,9 @@ indexed (col, row) from the south-west corner; boundary points belong to
 the higher cell by the floor convention.
 
 ``build_grid`` maps the records' latitude and longitude columns to int64
-cell column and row arrays, with the operations in ``GridSpec.cell_of``'s
-order so that every cell matches the scalar projection bit for bit.
+cell column and row arrays: ``floor((lon - origin_lon) * meters_per_deg_lon
+/ cell_size_m)`` and the same for rows, in that operation order, so every
+cell matches a scalar projection of its record bit for bit.
 ``score_cells`` counts them into a ``[rows, columns]`` array with one
 ``np.bincount`` over flat cell indices.
 """
@@ -64,16 +65,6 @@ class GridSpec:
     def _meters_per_deg_lon(self) -> float:
         return self.earth_radius_m * math.pi / 180.0 * math.cos(math.radians(self.ref_lat))
 
-    def project(self, lat: float, lon: float) -> tuple[float, float]:
-        """Meters east/north of the grid origin."""
-        x = (lon - self.origin_lon) * self._meters_per_deg_lon
-        y = (lat - self.origin_lat) * self._meters_per_deg_lat
-        return x, y
-
-    def cell_of(self, lat: float, lon: float) -> tuple[int, int]:
-        x, y = self.project(lat, lon)
-        return int(math.floor(x / self.cell_size_m)), int(math.floor(y / self.cell_size_m))
-
     def cell_center(self, col: int, row: int) -> tuple[float, float]:
         lat = self.origin_lat + (row + 0.5) * self.cell_size_m / self._meters_per_deg_lat
         lon = self.origin_lon + (col + 0.5) * self.cell_size_m / self._meters_per_deg_lon
@@ -110,7 +101,7 @@ def build_grid(lats, lons, cell_size_m: float = 30.0) -> tuple[GridSpec, np.ndar
     origin_lat = lat0 + min_y / m_per_deg_lat
     probe = GridSpec(origin_lat=origin_lat, origin_lon=origin_lon,
                      cell_size_m=cell_size_m, columns=1, rows=1, ref_lat=lat0)
-    # GridSpec.cell_of on every record at once, in its operation order
+    # the scalar projection and floor on every record at once, in its operation order
     cols = np.floor((lons - origin_lon) * probe._meters_per_deg_lon / cell_size_m)
     rows = np.floor((lats - origin_lat) * probe._meters_per_deg_lat / cell_size_m)
     # Records at the minimum corner can land in cell -1 by one ulp of

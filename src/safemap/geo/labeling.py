@@ -38,7 +38,10 @@ def kmeans_bin(scores) -> BinResult:
     scores are a degenerate distribution: everything is labeled safe and a
     warning is emitted.
     """
-    s = np.asarray(scores, dtype=np.float64)
+    try:
+        s = np.asarray(scores, dtype=np.float64)
+    except OverflowError as e:  # an int past float64's range
+        raise LabelingError(f"scores must fit in a float64: {e}") from e
     if s.ndim != 1 or s.size == 0:
         raise LabelingError("scores must be a non-empty 1-D collection")
     lo, hi = float(s.min()), float(s.max())

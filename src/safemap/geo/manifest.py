@@ -18,7 +18,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from ..fileio import atomic_open
-from ..jsoncodec import JsonError, from_json
+from ..jsoncodec import JsonError, dumps, from_json
 
 MANIFEST_KIND = "safemap-manifest"
 MANIFEST_VERSION = 1
@@ -86,54 +86,46 @@ class DatasetManifest:
         safe = sum(1 for e in self.entries if e.label == SAFE)
         return safe, len(self.entries) - safe
 
-    def subset(self, split: Optional[str] = None, domain: Optional[str] = None) -> list[ManifestEntry]:
-        out = self.entries
-        if split is not None:
-            out = [e for e in out if e.split == split]
-        if domain is not None:
-            out = [e for e in out if e.domain == domain]
-        return out
-
-
-def _dumps(obj: dict) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    def subset(self, split: Optional[str] = None) -> list[ManifestEntry]:
+        return self.entries if split is None else [e for e in self.entries if e.split == split]
 
 
 def save_manifest(path, manifest: DatasetManifest) -> None:
     header = {"kind": MANIFEST_KIND, "version": MANIFEST_VERSION,
               "seed": manifest.seed, "generator": manifest.generator}
     with atomic_open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(_dumps(header) + "\n")
+        f.write(dumps(header) + "\n")
         for e in manifest.entries:
-            f.write(_dumps(e.to_json_obj()) + "\n")
+            f.write(dumps(e.to_json_obj()) + "\n")
 
 
 def load_manifest(path) -> DatasetManifest:
     try:
         with open(path, "r", encoding="utf-8") as f:
-            lines = [ln for ln in (raw.strip() for raw in f) if ln]
+            lines = [(n, ln) for n, raw in enumerate(f, start=1) if (ln := raw.strip())]
     except UnicodeDecodeError as e:
         raise ManifestError(f"{path}: not UTF-8 text: {e}") from e
     if not lines:
         raise ManifestError(f"{path}: empty manifest")
+    n, first = lines[0]
     try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as e:
-        raise ManifestError(f"{path}: bad header line: {e}") from e
+        header = json.loads(first)
+    except (ValueError, RecursionError) as e:  # bad JSON, nested too deep or an over-long int
+        raise ManifestError(f"{path}:{n}: bad header line: {e}") from e
     if not isinstance(header, dict):
-        raise ManifestError(f"{path}: not a dataset manifest (header {lines[0][:40]!r})")
+        raise ManifestError(f"{path}: not a dataset manifest (header {first[:40]!r})")
     if header.get("kind") != MANIFEST_KIND:
         raise ManifestError(f"{path}: not a dataset manifest (kind={header.get('kind')!r})")
     if header.get("version") != MANIFEST_VERSION:
         raise ManifestError(f"{path}: unsupported manifest version {header.get('version')!r}")
     entries = []
-    for i, ln in enumerate(lines[1:], start=2):
+    for n, ln in lines[1:]:
         try:
             entries.append(ManifestEntry.from_json_obj(json.loads(ln)))
-        except json.JSONDecodeError as e:
-            raise ManifestError(f"{path}:{i}: bad JSON: {e}") from e
         except ManifestError as e:
-            raise ManifestError(f"{path}:{i}: {e}") from e
+            raise ManifestError(f"{path}:{n}: {e}") from e
+        except (ValueError, RecursionError) as e:  # as for the header line
+            raise ManifestError(f"{path}:{n}: bad JSON: {e}") from e
     try:
         seed = int(header.get("seed", 0))
     except (TypeError, ValueError, OverflowError) as e:

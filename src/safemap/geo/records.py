@@ -18,7 +18,6 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import functools
-import io
 import warnings
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
@@ -82,9 +81,6 @@ def ingest_accidents(csv_stream) -> IngestResult:
     field over ``csv.field_size_limit``) or no valid record at all is an
     ``IngestError``.
     """
-    if isinstance(csv_stream, (str, bytes)):
-        csv_stream = io.StringIO(csv_stream.decode("utf-8")
-                                 if isinstance(csv_stream, bytes) else csv_stream)
     reader = csv.reader(csv_stream)
     try:
         header = next(reader, None)

@@ -19,7 +19,6 @@ byte-identical files.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -27,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from ..fileio import atomic_open
-from ..jsoncodec import from_json, to_json
+from ..jsoncodec import dumps, to_json
 from .manifest import DatasetManifest, ManifestEntry, assign_splits, save_manifest
 from .ppm import write_ppm
 
@@ -187,10 +186,5 @@ def synth_generate(out_dir, n_per_class: int, image_hw: tuple[int, int] = (64, 6
     save_manifest(out_dir / "manifest.jsonl", manifest)
     with atomic_open(out_dir / "synth_meta.jsonl", "w", encoding="utf-8", newline="\n") as f:
         for m in metas:
-            f.write(json.dumps(to_json(m), sort_keys=True, separators=(",", ":")) + "\n")
+            f.write(dumps(to_json(m)) + "\n")
     return SynthResult(manifest=manifest, metas=metas, image_dir=out_dir)
-
-
-def load_synth_meta(path) -> list[SynthImageMeta]:
-    with open(path, "r", encoding="utf-8") as f:
-        return [from_json(SynthImageMeta, json.loads(ln)) for ln in f if ln.strip()]

@@ -3,21 +3,28 @@
 ``from_json(cls, obj)`` builds a dataclass from parsed JSON and ``to_json``
 turns one back into dicts, lists and scalars. The field annotations decide
 what each key takes: an ``int`` no bool, a ``float`` only a finite number,
-a ``str`` or ``bool`` only that type, an ``Optional`` also null, a fixed
-``tuple`` a list of its length, a ``Literal`` one of its values; a nested
-dataclass recurses, and unknown keys fail at every depth. A ValueError from
-a dataclass's ``__post_init__`` comes out, like a mismatch, as a JsonError
-naming the value's path. Ints in float fields stay ints, so ``to_json``
-gives back the document a value came from.
+a ``str`` only text that encodes as UTF-8, a ``bool`` only a bool, an
+``Optional`` also null, a fixed ``tuple`` a list of its length, a
+``Literal`` one of its values; a nested dataclass recurses, and unknown
+keys fail at every depth. A ValueError from a dataclass's ``__post_init__``
+comes out, like a mismatch, as a JsonError naming the value's path. Ints in
+float fields stay ints, so ``to_json`` gives back the document a value came
+from. ``dumps`` is the one canonical writer of every compact JSON artifact:
+sorted keys, no whitespace.
 """
 
 from __future__ import annotations
 
+import json
+import re
 import sys
 from dataclasses import MISSING, fields, is_dataclass
 from functools import cache
 from types import UnionType
 from typing import Literal, Union, get_args, get_origin, get_type_hints
+
+
+_SURROGATE = re.compile(r"[\ud800-\udfff]")
 
 
 class JsonError(Exception):
@@ -35,6 +42,11 @@ def _field_types(cls) -> dict:
     hints = get_type_hints(cls)
     return {f.name: (hints[f.name], f.default is MISSING and f.default_factory is MISSING)
             for f in fields(cls)}
+
+
+def dumps(obj) -> str:
+    """``obj`` as canonical JSON text, so equal values give equal bytes."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 def to_json(obj):
@@ -66,7 +78,9 @@ def _decode(tp, value, path: tuple):
     if tp is float:  # NaN, infinities and ints too large for a float fail the bound
         ok = type(value) in (int, float) and abs(value) <= sys.float_info.max
         want = "a finite number"
-    elif tp in (int, str, bool):  # exactly that type, so a bool is not an int
+    elif tp is str:  # a "\ud800" escape parses to a lone surrogate, which no file or path can hold
+        ok, want = type(value) is str and not _SURROGATE.search(value), "UTF-8 text"
+    elif tp in (int, bool):  # exactly that type, so a bool is not an int
         ok, want = type(value) is tp, tp.__name__
     elif (origin := get_origin(tp)) is Literal:
         ok = any(value == a and type(value) is type(a) for a in get_args(tp))

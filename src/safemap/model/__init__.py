@@ -19,7 +19,6 @@ from .training import (
     TrainResult,
     batch_tensor,
     evaluate,
-    load_metrics_csv,
     load_split,
     save_metrics_csv,
     train_dam,
@@ -41,7 +40,6 @@ __all__ = [
     "evaluate",
     "forward",
     "init_params",
-    "load_metrics_csv",
     "load_split",
     "local_forward",
     "partition_regions",

@@ -8,12 +8,12 @@ needs: the stage-2 map is large enough to partition into subregions with
 7x7 ROI pooling, and the stage-4 map matches the local branch's pooled
 output so the two concatenate cleanly.
 
-With 64x64 inputs and the default strides (2,1,2,2) / pads (0,1,0,0) the
-stage spatial sizes run 64 -> 31 -> 31 -> 15 -> 7.
-
-The input and output widths are fixed by the pipeline rather than
-configured: ``IN_CHANNELS`` = 3 because every tile is an RGB PPM, and
-``NUM_CLASSES`` = 2 because cells are labeled safe (0) or dangerous (1).
+The stage geometry is fixed rather than configured: the downsampling
+convs use ``STAGE_STRIDES`` = (2, 1, 2, 2) and ``STAGE_PADS`` =
+(0, 1, 0, 0), so with 64x64 inputs the stage spatial sizes run
+64 -> 31 -> 31 -> 15 -> 7. So are the input and output widths:
+``IN_CHANNELS`` = 3 because every tile is an RGB PPM, and ``NUM_CLASSES``
+= 2 because cells are labeled safe (0) or dangerous (1).
 """
 
 from __future__ import annotations
@@ -26,6 +26,8 @@ from ..jsoncodec import JsonError, from_json, to_json
 SCHEME_KINDS = ("HS", "VS", "SQ")
 IN_CHANNELS = 3
 NUM_CLASSES = 2
+STAGE_STRIDES = (2, 1, 2, 2)
+STAGE_PADS = (0, 1, 0, 0)
 
 
 class ConfigError(ValueError):
@@ -68,8 +70,6 @@ class DamConfig:
 
     input_hw: tuple[int, int] = (64, 64)
     stage_widths: tuple[int, int, int, int] = (8, 16, 32, 64)
-    stage_strides: tuple[int, int, int, int] = (2, 1, 2, 2)
-    stage_pads: tuple[int, int, int, int] = (0, 1, 0, 0)
     local_widths: tuple[int, int] = (16, 16)
     schemes: tuple[SubregionScheme, ...] = field(default_factory=default_schemes)
     d: int = 32
@@ -89,7 +89,7 @@ class DamConfig:
                              ("da_local_widths", self.da_local_widths)):
             if any(w < 1 for w in widths):
                 raise ConfigError(f"{name} must all be at least 1, got {widths}")
-        if len(self.stage_widths) != 4 or len(self.stage_strides) != 4 or len(self.stage_pads) != 4:
+        if len(self.stage_widths) != 4:
             raise ConfigError("backbone is fixed at 4 stages")
         if self.use_local and not self.schemes:
             raise ConfigError("at least one subregion scheme is required")

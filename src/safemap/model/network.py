@@ -43,7 +43,8 @@ from ..autodiff import (
     softmax,
 )
 from ..autodiff.nn_ops import _bin_edges
-from .config import IN_CHANNELS, NUM_CLASSES, SCHEME_KINDS, ConfigError, DamConfig, SubregionScheme
+from .config import IN_CHANNELS, NUM_CLASSES, SCHEME_KINDS, STAGE_PADS, STAGE_STRIDES
+from .config import ConfigError, DamConfig, SubregionScheme
 
 
 class DamParams:
@@ -210,7 +211,7 @@ def forward(images: Tensor, params: DamParams, config: DamConfig) -> ForwardTrac
                           f"{(IN_CHANNELS, *config.input_hw)}")
     h = images
     for i in range(1, 5):
-        h = _stage(h, params, i, config.stage_strides[i - 1], config.stage_pads[i - 1])
+        h = _stage(h, params, i, STAGE_STRIDES[i - 1], STAGE_PADS[i - 1])
         if i == 2:
             shared = h  # the subregions are cut from the stage-2 map
     conv4 = h

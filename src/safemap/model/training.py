@@ -94,12 +94,11 @@ class Dataset:
         return self.labels.size
 
 
-def load_split(manifest: DatasetManifest, image_root, split: Optional[str] = None,
-               domain: Optional[str] = None) -> Dataset:
-    """Load the manifest subset's referenced images into memory."""
-    entries = manifest.subset(split=split, domain=domain)
+def load_split(manifest: DatasetManifest, image_root, split: Optional[str] = None) -> Dataset:
+    """Load the images of the manifest's ``split`` entries (all when None) into memory."""
+    entries = manifest.subset(split)
     if not entries:
-        raise TrainError(f"manifest has no entries for split={split!r} domain={domain!r}")
+        raise TrainError(f"manifest has no entries for split={split!r}")
     root = Path(image_root)
     imgs = []
     labels = []
@@ -241,13 +240,3 @@ def save_metrics_csv(path, metrics: list[MetricsRow]) -> None:
         writer.writerow(["epoch", "split", "loss", "accuracy"])
         for row in metrics:
             writer.writerow([row.epoch, row.split, repr(row.loss), repr(row.accuracy)])
-
-
-def load_metrics_csv(path) -> list[MetricsRow]:
-    rows = []
-    with open(path, "r", encoding="utf-8", newline="") as f:
-        reader = csv.DictReader(f)
-        for r in reader:
-            rows.append(MetricsRow(int(r["epoch"]), r["split"],
-                                   float(r["loss"]), float(r["accuracy"])))
-    return rows

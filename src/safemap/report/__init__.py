@@ -6,7 +6,6 @@ from .metrics import (
     MetricsError,
     MetricsReport,
     confusion,
-    metrics,
     metrics_from_confusion,
 )
 from .safety_map import (
@@ -31,7 +30,6 @@ __all__ = [
     "cam",
     "confusion",
     "effective_class_weights",
-    "metrics",
     "metrics_from_confusion",
     "safety_map_export",
 ]

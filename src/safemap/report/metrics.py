@@ -97,8 +97,3 @@ def metrics_from_confusion(c: Confusion) -> MetricsReport:
     return MetricsReport(accuracy=accuracy, fpr=fpr, precision=precision,
                          recall=recall, f1=f1, confusion=c,
                          zero_division=frozenset(flags))
-
-
-def metrics(predictions, labels) -> MetricsReport:
-    """Accuracy, FPR, precision, recall, F1 over hard binary predictions."""
-    return metrics_from_confusion(confusion(predictions, labels))

@@ -115,22 +115,6 @@ def cross_entropy_naive(logits: np.ndarray, labels: np.ndarray) -> float:
     return total / B
 
 
-def numeric_grad(f, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
-    """Central differences of a scalar function of one array, entry by entry."""
-    g = np.zeros_like(x)
-    flat = x.reshape(-1)
-    gf = g.reshape(-1)
-    for k in range(flat.size):
-        orig = flat[k]
-        flat[k] = orig + eps
-        fp = f(x)
-        flat[k] = orig - eps
-        fm = f(x)
-        flat[k] = orig
-        gf[k] = (fp - fm) / (2 * eps)
-    return g
-
-
 def kmeans2_best_split(scores: list[int]) -> tuple[float, set[int]]:
     """Optimal 2-cluster 1-D k-means by exhaustive threshold search.
 
@@ -330,6 +314,19 @@ def build_grid_naive(lats, lons, cell_size_m: float):
                     columns=max(c for c, _ in cells) + 1, rows=max(r for _, r in cells) + 1,
                     ref_lat=lat0)
     return spec, cells
+
+
+def project_naive(spec, lat: float, lon: float) -> tuple[float, float]:
+    """Meters east and north of ``spec``'s origin, one record at a time."""
+    x = (lon - spec.origin_lon) * spec._meters_per_deg_lon
+    y = (lat - spec.origin_lat) * spec._meters_per_deg_lat
+    return x, y
+
+
+def cell_of_naive(spec, lat: float, lon: float) -> tuple[int, int]:
+    """The (col, row) holding one record, by the floor convention."""
+    x, y = project_naive(spec, lat, lon)
+    return int(math.floor(x / spec.cell_size_m)), int(math.floor(y / spec.cell_size_m))
 
 
 def score_cells_naive(spec, cells) -> np.ndarray:

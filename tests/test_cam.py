@@ -5,10 +5,12 @@ import pytest
 
 from safemap.geo.manifest import DANGEROUS
 from safemap.geo.ppm import read_pgm, read_ppm
-from safemap.geo.synth import load_synth_meta, synth_generate
+from safemap.geo.synth import synth_generate
 from safemap.model import DamConfig, SubregionScheme, init_params
 from safemap.model.training import TrainConfig, load_split, train_dam
 from safemap.report import CamError, bilinear_upsample, cam
+
+from artifacts import load_synth_meta
 
 SMALL = DamConfig(input_hw=(64, 64), stage_widths=(4, 6, 8, 10),
                   local_widths=(6, 6), d=8,

@@ -206,6 +206,13 @@ class TestConfigErrors:
         assert main(["train", "--config", cfg]) == EXIT_USAGE
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["stage_strides", "stage_pads"])
+    def test_removed_stage_geometry_keys_rejected(self, tmp_path, capsys, key):
+        cfg = write_config(tmp_path / "c.json", {"model": {key: [2, 1, 2, 2]},
+                                                 "paths": {"run_dir": str(tmp_path / "run")}})
+        assert main(["train", "--config", cfg]) == EXIT_USAGE
+        assert f"section 'model': unknown keys ['{key}']" in capsys.readouterr().err
+
     @pytest.mark.parametrize("lam", [float("nan"), float("inf")])
     def test_non_finite_lam_is_usage_error(self, tmp_path, capsys, lam):
         cfg = write_config(tmp_path / "c.json", {"da": {"lam": lam},
@@ -241,6 +248,9 @@ class TestConfigErrors:
         ("synth", "seed", -1),
         ("train", "seed", -1),
         ("da", "seed", -1),
+        # lone surrogates: each used to end in a UnicodeEncodeError traceback at open or mkdir
+        ("paths", "manifest", "\ud800.jsonl"),
+        ("paths", "run_dir", "r\ud800"),
     ])
     def test_bad_value_fails_at_load(self, tmp_path, capsys, section, key, value):
         doc = {section: {key: value}}
@@ -379,6 +389,11 @@ class TestMalformedInputs:
                                 b'"image":"a.ppm","label":0,"pseudo":"no","split":"train"}\n'),
         ("balance", "manifest", b"\xff\xfe\n"),
         ("balance", "manifest", MANIFEST_HEADER.replace(b'"seed":0', b'"seed":"abc"')),
+        # each used to end in a RecursionError traceback
+        pytest.param("balance", "manifest", b"[" * 200_000 + b"]" * 200_000,
+                     id="balance-manifest-deeply-nested-header"),
+        pytest.param("balance", "manifest", MANIFEST_HEADER + b"[" * 200_000 + b"]" * 200_000,
+                     id="balance-manifest-deeply-nested-entry"),
     ])
     def test_malformed_input_is_data_error(self, tmp_path, capsys, sub, key, content):
         bad = tmp_path / "input"
@@ -389,6 +404,30 @@ class TestMalformedInputs:
         err = capsys.readouterr().err
         assert str(bad) in err
         assert "Traceback" not in err
+
+    def test_lone_surrogate_image_is_data_error(self, tmp_path, capsys):
+        # used to end in a UnicodeEncodeError traceback in read_ppm
+        bad = tmp_path / "m.jsonl"
+        bad.write_bytes(MANIFEST_HEADER + b'{"cell":[0,0],"domain":"source",'
+                        b'"image":"\\ud800.ppm","label":0,"split":"train"}\n')
+        cfg = write_config(tmp_path / "c.json", {
+            "paths": {"run_dir": str(tmp_path / "run"), "manifest": str(bad),
+                      "image_root": str(tmp_path)}})
+        assert main(["train", "--config", cfg]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith(f"safemap: error: {bad}:2: malformed entry")
+        assert "image: expected UTF-8 text" in err and "Traceback" not in err
+
+    def test_score_past_float_range_is_data_error(self, tmp_path, capsys):
+        # used to end in an OverflowError traceback in kmeans_bin
+        bad = tmp_path / "scores.csv"
+        bad.write_text("col,row,score\n0,0,1\n1,0," + "9" * 400 + "\n", encoding="utf-8")
+        cfg = write_config(tmp_path / "c.json",
+                           {"paths": {"run_dir": str(tmp_path / "run"), "scores_csv": str(bad)}})
+        assert main(["label", "--config", cfg]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("safemap: error: scores must fit in a float64")
+        assert len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("sub,key,code", [
         ("synth", None, EXIT_USAGE),  # the run config itself

@@ -13,8 +13,10 @@ from safemap.fileio import atomic_open
 from safemap.geo.grid import GridSpec
 from safemap.geo.manifest import DatasetManifest, ManifestEntry, save_manifest
 from safemap.geo.synth import synth_generate
-from safemap.model.training import MetricsRow, load_metrics_csv, save_metrics_csv
+from safemap.model.training import MetricsRow, save_metrics_csv
 from safemap.report import CellPrediction, safety_map_export
+
+from artifacts import load_metrics_csv
 
 
 def _listing(directory):

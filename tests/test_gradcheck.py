@@ -11,7 +11,6 @@ from safemap.autodiff import (
     conv2d,
     gather_rows,
     global_avg_pool,
-    grad_check,
     linear,
     parameter,
     relu,
@@ -21,6 +20,8 @@ from safemap.autodiff import (
     tensor_sum,
     transpose,
 )
+
+from gradcheck import grad_check
 
 TOL = 1e-4
 EPS = 1e-5

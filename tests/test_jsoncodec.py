@@ -83,10 +83,19 @@ def _value(tp):
     return st.text(max_size=12)
 
 
+def _accepted(cls, obj):
+    """Whether section ``cls`` takes ``obj``; its checks reject some values the
+    field types allow, such as a schedule whose rate decays to 0.0."""
+    try:
+        return jsoncodec.from_json(cls, obj) is not None
+    except jsoncodec.JsonError:
+        return False
+
+
 def _section(name, cls):
     return st.fixed_dictionaries({}, optional={
         key: SPECIAL[name, key] if (name, key) in SPECIAL else _value(tp)
-        for key, tp in _hints(cls).items()})
+        for key, tp in _hints(cls).items()}).filter(lambda obj: _accepted(cls, obj))
 
 
 RUN_CONFIGS = st.fixed_dictionaries(

@@ -7,11 +7,15 @@ from safemap.report import (
     Confusion,
     MetricsError,
     confusion,
-    metrics,
     metrics_from_confusion,
 )
 
 SAFE, DANG = 0, 1
+
+
+def metrics(predictions, labels):
+    """Metrics over hard predictions, the way ``safemap eval`` computes them."""
+    return metrics_from_confusion(confusion(predictions, labels))
 
 
 def vec(pairs):

@@ -186,6 +186,11 @@ class TestForward:
         with pytest.raises(ConfigError, match="input shape"):
             forward(Tensor(np.zeros((1, 3, 32, 32))), params, cfg)
 
+    @pytest.mark.parametrize("key", ["stage_strides", "stage_pads"])
+    def test_stage_geometry_is_not_a_config_key(self, key):
+        with pytest.raises(ConfigError, match=f"unknown keys \\['{key}'\\]"):
+            DamConfig.from_dict({key: [2, 1, 2, 2]})
+
 
 def _min_selection_gap(trace) -> float:
     scores = np.sort(trace.region_probs.max(axis=2), axis=1)

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from safemap.geo import SynthError, load_synth_meta, read_ppm, synth_generate
+from safemap.geo import SynthError, read_ppm, synth_generate
+from artifacts import load_synth_meta
 from oracles import detect_label, detect_motif
 
 

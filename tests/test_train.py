@@ -12,11 +12,12 @@ from safemap.model.training import (
     TrainConfig,
     TrainError,
     evaluate,
-    load_metrics_csv,
     load_split,
     save_metrics_csv,
     train_dam,
 )
+
+from artifacts import load_metrics_csv
 
 SMALL = DamConfig(input_hw=(64, 64), stage_widths=(4, 6, 8, 10),
                   local_widths=(6, 6), d=8,
