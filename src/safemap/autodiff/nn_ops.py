@@ -3,14 +3,33 @@
 Layout convention is NCHW throughout: batched image tensors have shape
 ``[B, C, H, W]``, dense activations ``[B, F]``.
 
-conv2d is im2col plus GEMM (Chellapilla et al. 2006).  ``_im2col`` reads
-the input channel-major, ``[Cin, B, H, W]``, copies it into a zero-bordered
-buffer when padded, and fills one contiguous column matrix ``cols`` of
-shape ``[K, N]`` with kh*kw strided slice copies (K = Cin*kh*kw,
-N = B*Ho*Wo); ``cols`` is kept for the backward pass.
+conv2d lowers a convolution to GEMMs in one of three ways.
 
-* forward: one 2-D GEMM ``w2 @ cols`` (``w2`` is the weight as
-  ``[Cout, K]``), then one transposed copy back to contiguous NCHW;
+* A recorded conv (see ``_records``) is im2col plus one GEMM over the whole
+  batch (Chellapilla et al. 2006), kept exact so that training stays
+  bit-identical.  ``_im2col`` reads the input channel-major, zero-borders it
+  when padded, and fills ``cols`` ``[K, N]`` with kh*kw strided slice copies
+  (K = Cin*kh*kw, N = B*Ho*Wo); ``w2 @ cols`` (``w2``: the weight as
+  ``[Cout, K]``) is then copied, transposed, into NCHW.
+* A tape-free stride-1 conv of more than one sample with ``pad < kh`` and
+  ``pad < kw`` lowers as in MEC (Cho & Brand 2017), in ``_conv_flat``: each
+  sample block is copied once into a flat buffer of row pitch ``P = W + pad``
+  whose rows and images share their zero padding; kw shifted copies of it,
+  about a third of ``cols`` for a 3x3 kernel, go through one GEMM by the kh
+  kernel rows stacked, and the kh row blocks of the product are added at
+  column offsets ``i*P``.  (One GEMM per kernel row measured slower.)
+* Any other tape-free conv (strided, or a single sample, whose pad columns
+  cost more than the copies save) runs im2col and one GEMM per block.
+
+Tape-free blocks hold as many samples as fit ``cols``, or the shifted
+copies, in ``CHUNK_BYTES`` (the L2 cache; Goto & van de Geijn 2008).  The
+flat path adds each dot product as kh partial sums, so it agrees with the
+recorded path to float32 rounding, not bit for bit; so do blocks of another
+size, as BLAS rounding follows the GEMM's shape.  Inference (evaluation,
+``predict``, CAMs, validation) runs tape-free.
+
+The backward, on the recorded path only:
+
 * weight and bias gradients: the upstream gradient as ``g2 = [Cout, N]``
   gives ``gw = g2 @ cols.T`` and ``gb`` as its row sums;
 * input gradient, stride 1 with ``pad < kh`` and ``pad < kw``: a full
@@ -24,17 +43,12 @@ N = B*Ho*Wo); ``cols`` is kept for the backward pass.
 
 So the numpy call count stays O(kh*kw) whatever the image size.
 
-A recorded conv (see ``_records``) builds ``cols`` over the whole batch for
-its backward.  Any other forward runs sample blocks whose ``cols`` fits in
-``CHUNK_BYTES`` (the L2 cache; Goto & van de Geijn 2008): im2col into one
-buffer per call, GEMM, bias, transposed copy into the NCHW output.
-
 ROI pooling (and adaptive pooling, its full-map case) sums bins and
 spreads gradients with products by 0/1 bin matrices; see ``roi_avg_pool``.
 
 The compute dtype follows ``x``: conv2d and linear cast their weight and
-bias to ``x``'s dtype before the GEMMs, and every buffer (padding,
-``cols``, col2im, pooled output) is allocated in it.  A float32 batch
+bias to ``x``'s dtype before the GEMMs, and every buffer (padding, the flat
+buffers, ``cols``, col2im, pooled output) is allocated in it.  A float32 batch
 thus runs float32 GEMMs against float64 parameters, whose gradients still
 accumulate into float64 buffers.
 """
@@ -56,7 +70,7 @@ from .tensor import (
     _records,
 )
 
-CHUNK_BYTES = 4 << 20  # column-matrix bytes per sample block of a tape-free conv
+CHUNK_BYTES = 4 << 20  # bytes of cols, or of the shifted copies, per tape-free block
 
 
 @dataclass(frozen=True)
@@ -122,6 +136,33 @@ def _col2im(gcol: np.ndarray, x_shape: tuple, kh: int, kw: int, stride: int, pad
     return gxp[:, :, pad:pad + H, pad:pad + W].transpose(1, 0, 2, 3)
 
 
+def _conv_flat(xt: np.ndarray, wi: np.ndarray, p: int, flat: np.ndarray,
+               buf: np.ndarray) -> np.ndarray:
+    """Stride-1 conv of a channel-major block ``xt`` [C, B, H, W], pad ``p`` < kh, kw.
+
+    ``wi`` [kh, Cout, C*kw] holds the kernel rows.  With ``P = W + p`` and
+    ``S = (H + p) * P``, output (b, oy, ox) is entry ``q = b*S + oy*P + ox``
+    of the returned ``[Cout, B*S]`` view and reads ``flat[:, q + i*P + j]``;
+    ``buf`` takes the kw shifted copies.  Only pixels are written into
+    ``flat``, so its padding stays zero, and what a longer previous block
+    left past this one is read only by outputs that are cropped away.
+    """
+    C, B, H, W = xt.shape
+    kh, _, CK = wi.shape
+    P, L = W + p, B * (H + p) * (W + p)
+    M = L + (kh - 1) * P
+    flat[:, :L].reshape(C, B, H + p, P)[:, :, p:, p:] = xt
+    sh = buf[:CK * M].reshape(C, CK // C, M)
+    for j in range(CK // C):
+        sh[:, j] = flat[:, j:j + M]
+    sh = sh.reshape(CK, M)
+    y = (wi.reshape(-1, CK) @ sh).reshape(kh, -1, M)  # one GEMM for all kernel rows
+    acc = y[0, :, :L]
+    for i in range(1, kh):
+        acc += y[i, :, i * P:i * P + L]
+    return acc
+
+
 def conv2d(x, weight, bias=None, stride: int = 1, pad: int = 0) -> Tensor:
     """2-D cross-correlation. x: [B,Cin,H,W], weight: [Cout,Cin,kh,kw], bias: [Cout]."""
     x, weight = _as_tensor(x), _as_tensor(weight)
@@ -142,18 +183,37 @@ def conv2d(x, weight, bias=None, stride: int = 1, pad: int = 0) -> Tensor:
     dt = x.data.dtype
 
     parents = (x, weight) if b_t is None else (x, weight, b_t)
-    step = B if _records(parents) else max(1, CHUNK_BYTES // (K * Ho * Wo * dt.itemsize))
-    buf = np.empty(K * min(step, B) * Ho * Wo, dtype=dt)
-    w2 = weight.data.reshape(Cout, K).astype(dt, copy=False)
+    records = _records(parents)
+    full_corr = stride == 1 and pad < kh and pad < kw
+    # a recorded conv keeps ``cols`` for its backward; one sample's pad columns
+    # and extra rows cost the flat path more than its copies save
+    flat = full_corr and not records and B > 1
+    w_dt = weight.data.astype(dt, copy=False)
+    w2 = w_dt.reshape(Cout, K)
+    P, S = W + pad, (H + pad) * (W + pad)  # the flat layout's row and image pitch
+    per_sample = Cin * kw * S if flat else K * Ho * Wo  # values of buf per sample
+    step = B if records else max(1, CHUNK_BYTES // (per_sample * dt.itemsize))
+    nb = min(step, B)
+    if flat:
+        wi = np.ascontiguousarray(w_dt.transpose(2, 0, 1, 3)).reshape(kh, Cout, Cin * kw)
+        xflat = np.zeros((Cin, nb * S + (kh - 1) * P + kw - 1), dtype=dt)
+        buf = np.empty(Cin * kw * (nb * S + (kh - 1) * P), dtype=dt)
+    else:
+        buf = np.empty(K * nb * Ho * Wo, dtype=dt)
+    pitch = P if flat else Wo  # row pitch of a block's GEMM output
     out_data = np.empty((B, Cout, Ho, Wo), dtype=dt)
     for b0 in range(0, B, step):
         nb = min(step, B - b0)
-        cols = _im2col(x.data[b0:b0 + nb].transpose(1, 0, 2, 3), kh, kw, stride, pad, pad,
-                       Ho, Wo, out=buf[:K * nb * Ho * Wo])
-        out2 = w2 @ cols  # [Cout, nb*Ho*Wo]
+        xt = x.data[b0:b0 + nb].transpose(1, 0, 2, 3)
+        if flat:
+            out2 = _conv_flat(xt, wi, pad, xflat, buf)  # [Cout, nb*S]
+        else:
+            cols = _im2col(xt, kh, kw, stride, pad, pad, Ho, Wo, out=buf[:K * nb * Ho * Wo])
+            out2 = w2 @ cols  # [Cout, nb*Ho*Wo]
         if b_t is not None:
             out2 += b_t.data.astype(dt, copy=False)[:, None]
-        out_data[b0:b0 + nb] = out2.reshape(Cout, nb, Ho, Wo).transpose(1, 0, 2, 3)
+        out4 = out2.reshape(Cout, nb, -1, pitch)[:, :, :Ho, :Wo]
+        out_data[b0:b0 + nb] = out4.transpose(1, 0, 2, 3)
 
     def bwd(g):
         # g: [B, Cout, Ho, Wo] -> g2: [Cout, N], matching the column order of cols
@@ -164,7 +224,7 @@ def conv2d(x, weight, bias=None, stride: int = 1, pad: int = 0) -> Tensor:
             _accumulate(b_t, g2.sum(axis=1))
         if not x.requires_grad:
             return
-        if stride == 1 and pad < kh and pad < kw:
+        if full_corr:
             # full correlation of g with the flipped, channel-transposed weight
             wf = w2.reshape(Cout, Cin, kh, kw).transpose(1, 0, 2, 3)[:, :, ::-1, ::-1]
             gcols = _im2col(g2.reshape(Cout, B, Ho, Wo), kh, kw, 1,

@@ -219,14 +219,18 @@ def _records(parents: Sequence[Tensor]) -> bool:
     return _active_tape() is not None and any(p.requires_grad for p in parents)
 
 
+def _leaf(data: np.ndarray, requires_grad: bool, name: Optional[str]) -> Tensor:
+    """Tensor on a float array its caller checked finite, without a second scan."""
+    t = Tensor.__new__(Tensor)
+    t.data, t.grad, t.requires_grad, t.name = data, None, requires_grad, name
+    return t
+
+
 def _make_op(out_data: np.ndarray, parents: Sequence[Tensor],
              backward_fn: Callable[[np.ndarray], None], op: str) -> Tensor:
     out_data = _as_float(out_data)
     _check_finite(out_data, op)
-    # checked above under the op's name, so skip the constructor's check
-    out = Tensor.__new__(Tensor)
-    out.data, out.grad, out.name = out_data, None, None
-    out.requires_grad = any(p.requires_grad for p in parents)
+    out = _leaf(out_data, any(p.requires_grad for p in parents), None)
     if _records(parents):
         _active_tape()._record(out, backward_fn)
     return out

@@ -51,6 +51,7 @@ from .autodiff import (
     load_checkpoint,
     save_checkpoint,
 )
+from .autodiff.tensor import _leaf
 from .fileio import atomic_open
 from .geo.grid import GridError, GridSpec, build_grid, score_cells
 from .geo.labeling import LabelingError, kmeans_bin
@@ -263,7 +264,7 @@ def _load_params(cfg: RunConfig):
         if loaded[name].shape != shape:
             raise CheckpointError(
                 f"shape mismatch for {name!r}: model {shape}, file {loaded[name].shape}")
-        params.add(name, loaded[name])
+        params.add(_leaf(loaded[name], True, name))  # load_checkpoint checked it finite
     return params, meta
 
 

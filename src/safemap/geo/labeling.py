@@ -36,7 +36,8 @@ def kmeans_bin(scores) -> BinResult:
 
     Ties in point assignment go to the lower centroid.  All-identical
     scores are a degenerate distribution: everything is labeled safe and a
-    warning is emitted.
+    warning is emitted.  Scores whose means, sums or squares leave float64's
+    finite range raise ``LabelingError``.
     """
     try:
         s = np.asarray(scores, dtype=np.float64)
@@ -50,6 +51,16 @@ def kmeans_bin(scores) -> BinResult:
                       stacklevel=2)
         return BinResult(assignments=np.zeros(s.size, dtype=np.int64),
                          centroids=(lo, hi), degenerate=True)
+    try:
+        with np.errstate(over="raise"):
+            assign, centroids = _two_means(s, lo, hi)
+    except FloatingPointError as e:  # a mean, sum or square past float64's range
+        raise LabelingError(f"scores too large to cluster: {e}") from e
+    return BinResult(assignments=assign, centroids=centroids)
+
+
+def _two_means(s: np.ndarray, lo: float, hi: float) -> tuple[np.ndarray, tuple[float, float]]:
+    """Lloyd from the (lo, hi) init, then the interval-split polish."""
     c_low, c_high = lo, hi
     assign: np.ndarray | None = None
     for _ in range(MAX_ITERATIONS):
@@ -86,7 +97,7 @@ def kmeans_bin(scores) -> BinResult:
         assign = (s >= best_thr).astype(np.int64)
         c_low = float(s[assign == 0].mean())
         c_high = float(s[assign == 1].mean())
-    return BinResult(assignments=assign, centroids=(c_low, c_high))
+    return assign, (c_low, c_high)
 
 
 def _sse(s: np.ndarray, assign: np.ndarray) -> float:

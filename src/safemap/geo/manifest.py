@@ -126,10 +126,9 @@ def load_manifest(path) -> DatasetManifest:
             raise ManifestError(f"{path}:{n}: {e}") from e
         except (ValueError, RecursionError) as e:  # as for the header line
             raise ManifestError(f"{path}:{n}: bad JSON: {e}") from e
-    try:
-        seed = int(header.get("seed", 0))
-    except (TypeError, ValueError, OverflowError) as e:
-        raise ManifestError(f"{path}: bad seed {header.get('seed')!r}") from e
+    seed = header.get("seed", 0)
+    if type(seed) is not int:  # jsoncodec's int rule: 5.7 and true are not seeds
+        raise ManifestError(f"{path}: bad seed {seed!r}: expected a JSON int")
     return DatasetManifest(seed=seed, generator=str(header.get("generator", "unknown")),
                            entries=entries)
 

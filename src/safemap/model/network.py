@@ -53,11 +53,11 @@ class DamParams:
     def __init__(self):
         self._params: dict[str, Tensor] = {}
 
-    def add(self, name: str, data: np.ndarray) -> Tensor:
-        if name in self._params:
-            raise ConfigError(f"duplicate parameter {name!r}")
-        t = parameter(data, name=name)
-        self._params[name] = t
+    def add(self, t: Tensor) -> Tensor:
+        """Add a named trainable leaf, such as ``parameter(data, name=...)``."""
+        if t.name in self._params:
+            raise ConfigError(f"duplicate parameter {t.name!r}")
+        self._params[t.name] = t
         return t
 
     def __getitem__(self, name: str) -> Tensor:
@@ -117,8 +117,8 @@ def init_params(config: DamConfig, seed: int = 0) -> DamParams:
     rng = np.random.default_rng([seed, 0])
     p = DamParams()
     for name, shape, fan_in in param_layout(config):
-        p.add(name, rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape) if fan_in
-              else np.zeros(shape))
+        p.add(parameter(rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape) if fan_in
+                        else np.zeros(shape), name=name))
     return p
 
 

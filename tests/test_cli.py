@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 
 import safemap
-from safemap.autodiff import CheckpointError, save_checkpoint
+from safemap.autodiff import CheckpointError, parameter, save_checkpoint
+from safemap.autodiff import tensor as tensor_mod
 from safemap.autodiff.checkpoint import MAGIC, VERSION
 from safemap.cli import (
     COMMANDS,
@@ -429,6 +430,20 @@ class TestMalformedInputs:
         assert err.startswith("safemap: error: scores must fit in a float64")
         assert len(err.splitlines()) == 1
 
+    def test_score_sums_past_float_range_are_data_error(self, tmp_path, capsys):
+        # used to write Infinity and NaN centroids into label_report.json
+        bad = tmp_path / "scores.csv"
+        big = str(10**308)
+        bad.write_text(f"col,row,score\n0,0,0\n1,0,{big}\n2,0,{big}\n3,0,5\n",
+                       encoding="utf-8")
+        cfg = write_config(tmp_path / "c.json",
+                           {"paths": {"run_dir": str(tmp_path / "run"), "scores_csv": str(bad)}})
+        assert main(["label", "--config", cfg]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("safemap: error: scores too large to cluster")
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "run" / "label_report.json").exists()
+
     @pytest.mark.parametrize("sub,key,code", [
         ("synth", None, EXIT_USAGE),  # the run config itself
         ("label", "scores_csv", EXIT_DATA),
@@ -782,6 +797,21 @@ class TestLoadParams:
         for got, want in zip(params.all(), expected.all()):
             assert got.data.tobytes() == want.data.tobytes()
             assert got.requires_grad and got.grad is None
+
+    def test_restore_scans_each_weight_once(self, tmp_path, monkeypatch):
+        # load_checkpoint rejects non-finite values by name; the leaves built
+        # from its arrays must not scan all of them again
+        ckpt = self.checkpoint(tmp_path, SMALL_MODEL)
+        cfg = RunConfig(model=DamConfig.from_dict(SMALL_MODEL),
+                        paths=PathsSection(checkpoint=str(ckpt)))
+        scans, real = [], tensor_mod._check_finite
+        monkeypatch.setattr(tensor_mod, "_check_finite",
+                            lambda arr, op: scans.append(op) or real(arr, op))
+        params, _ = _load_params(cfg)
+        assert scans == []
+        assert all(p.requires_grad and p.grad is None for p in params.all())
+        parameter(np.zeros(2), name="control")
+        assert scans == ["tensor construction"]  # the spy sees the constructor's scan
 
     @pytest.mark.parametrize("ckpt_model,model,message", [
         (SMALL_MODEL, SMALL_DA_MODEL, "parameter set mismatch: missing from file "

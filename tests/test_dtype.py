@@ -62,6 +62,35 @@ def test_float32_batch_runs_every_op_in_float32(config, monkeypatch):
     assert grads and [(n, dt) for n, dt in grads if dt != np.float32] == []
 
 
+@pytest.mark.parametrize("config", [DamConfig(), DamConfig(da_mode=True)],
+                         ids=["default", "da_mode"])
+def test_float32_predict_runs_every_op_in_float32(config, monkeypatch):
+    # the tape-free twin: predict's stride-1 convs take the flat lowering,
+    # whose buffers must follow the batch's dtype too
+    outputs, flat_blocks = [], []
+    real_make_op, real_conv_flat = tensor_mod._make_op, nn_ops._conv_flat
+
+    def make_op(out_data, parents, backward_fn, op):
+        out = real_make_op(out_data, parents, backward_fn, op)
+        outputs.append((op, out.data.dtype))
+        return out
+
+    def conv_flat(*args):
+        out = real_conv_flat(*args)
+        flat_blocks.append(tuple(a.dtype for a in args if isinstance(a, np.ndarray)) + (out.dtype,))
+        return out
+
+    for module in (nn_ops, tensor_mod):
+        monkeypatch.setattr(module, "_make_op", make_op)
+    monkeypatch.setattr(nn_ops, "_conv_flat", conv_flat)
+    labels, probs = predict(batch_tensor(_images(3)), init_params(config, seed=0), config)
+    convs = [dt for op, dt in outputs if op == "conv2d"]
+    assert len(convs) >= 12 and len(flat_blocks) >= 9
+    assert [(op, dt) for op, dt in outputs if dt != np.float32] == []
+    assert set(flat_blocks) == {(np.dtype(np.float32),) * 5}  # xt, wi, flat, buf, sum
+    assert probs.dtype == np.float64 and labels.shape == (3,)
+
+
 def test_parameters_and_gradients_stay_float64():
     params = init_params(SMALL, seed=0)
     with Tape():

@@ -83,3 +83,13 @@ def test_empty_scores_rejected():
 def test_assignment_order_follows_input_order():
     result = kmeans_bin([9, 0, 10, 1, 0])
     np.testing.assert_array_equal(result.assignments, [1, 0, 1, 0, 0])
+
+
+@pytest.mark.parametrize("scores", [
+    [0, 10**308, 10**308, 5],  # the cluster mean overflows
+    [-1e308, 1e308],           # the distance to a centroid overflows
+    [0.0, 1e160, 2e160],       # the polish's sum of squares overflows
+])
+def test_sums_past_float_range_rejected(scores):
+    with pytest.raises(LabelingError, match="scores too large to cluster"):
+        kmeans_bin(scores)

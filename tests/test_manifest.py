@@ -78,6 +78,15 @@ class TestRoundTrip:
         with pytest.raises(ManifestError, match="not a dataset manifest"):
             load_manifest(p)
 
+    @pytest.mark.parametrize("seed", [5.7, True, "5", None])
+    def test_seed_must_be_a_json_int(self, tmp_path, seed):
+        # int(...) used to load 5.7 as 5 and true as 1
+        p = tmp_path / "m.jsonl"
+        p.write_text(json.dumps({"kind": "safemap-manifest", "version": 1, "seed": seed,
+                                 "generator": "t"}) + "\n")
+        with pytest.raises(ManifestError, match=f"{p}: bad seed .*expected a JSON int"):
+            load_manifest(p)
+
 
 class TestBalance:
     def test_880_120_becomes_120_120(self):

@@ -15,6 +15,7 @@ from safemap.model import (
     predict,
     select_region,
 )
+from safemap.model.training import batch_tensor
 
 # Small geometry for fast full-model checks: 24 -> 11 -> 11 -> 5 -> 2
 TOY = dict(input_hw=(24, 24), stage_widths=(3, 4, 5, 6), local_widths=(3, 4), d=6)
@@ -309,3 +310,21 @@ class TestPredict:
         np.testing.assert_array_equal(labels1, labels2)
         assert probs1.tobytes() == probs2.tobytes()
         np.testing.assert_array_equal(labels1, probs1.argmax(axis=1))
+
+    @pytest.mark.parametrize("config", [DamConfig(), DamConfig(da_mode=True)],
+                             ids=["default", "da_mode"])
+    def test_tape_free_agrees_with_taped_forward(self, config):
+        # the tape-free stride-1 convs take the flat lowering and the taped
+        # ones im2col: equal up to float32 rounding, so equal decisions
+        params = init_params(config, seed=4)
+        x = batch_tensor(np.random.default_rng(4).integers(0, 256, size=(7, 3, 64, 64),
+                                                           dtype=np.uint8))
+        free = forward(x, params, config)
+        labels, _ = predict(x, params, config)
+        with Tape():
+            taped = forward(x, params, config)
+        assert free.logits.data.dtype == taped.logits.data.dtype == np.float32
+        np.testing.assert_allclose(free.logits.data, taped.logits.data, rtol=1e-5,
+                                   atol=1e-5 * np.abs(taped.logits.data).max())
+        np.testing.assert_array_equal(free.selected, taped.selected)
+        np.testing.assert_array_equal(labels, taped.logits.data.argmax(axis=1))

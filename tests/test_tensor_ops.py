@@ -205,16 +205,22 @@ class TestConv2dFloat32:
         _close32(b.grad, gb)
 
 
-def _count_im2col(monkeypatch):
-    """Spy on nn_ops._im2col; returns the list its calls append to."""
-    real, calls = nn_ops._im2col, []
-    monkeypatch.setattr(nn_ops, "_im2col",
+def _count_blocks(monkeypatch, helper="_im2col"):
+    """Spy on nn_ops._im2col (or _conv_flat); returns the block sizes its calls see."""
+    real, calls = getattr(nn_ops, helper), []
+    monkeypatch.setattr(nn_ops, helper,
                         lambda *a, **k: calls.append(a[0].shape[1]) or real(*a, **k))
     return calls
 
 
 class TestConv2dBlocks:
-    """A tape-free conv streams sample blocks of CHUNK_BYTES; a recorded one runs one block."""
+    """A tape-free conv streams sample blocks of CHUNK_BYTES; a recorded one runs one block.
+
+    A tape-free stride-1 conv of more than one sample with pad < kernel runs
+    its blocks through ``_conv_flat``, whose shifted copies hold
+    Cin*kw*(H+pad)*(W+pad) values per sample; every other tape-free conv
+    runs them through ``_im2col``.
+    """
 
     @staticmethod
     def _inputs(batch, stride, pad, k):
@@ -229,8 +235,10 @@ class TestConv2dBlocks:
         x, w, b = self._inputs(batch, stride, pad, k)
         whole = conv2d(x, w, b, stride=stride, pad=pad).data
         Ho, Wo = whole.shape[2:]
-        monkeypatch.setattr(nn_ops, "CHUNK_BYTES", per_block * 3 * k * k * Ho * Wo * 4)
-        calls = _count_im2col(monkeypatch)
+        flat = stride == 1 and pad < k and batch > 1
+        per_sample = 3 * k * (9 + pad) * (8 + pad) if flat else 3 * k * k * Ho * Wo
+        monkeypatch.setattr(nn_ops, "CHUNK_BYTES", per_block * per_sample * 4)
+        calls = _count_blocks(monkeypatch, "_conv_flat" if flat else "_im2col")
         blocks = conv2d(x, w, b, stride=stride, pad=pad).data
         assert calls == [min(per_block, batch - b0) for b0 in range(0, batch, per_block)]
         assert blocks.dtype == np.float32 and blocks.flags.c_contiguous
@@ -251,11 +259,67 @@ class TestConv2dBlocks:
         want = (out.data, wp.grad, bp.grad)
         wp.grad = bp.grad = None
         monkeypatch.setattr(nn_ops, "CHUNK_BYTES", 1)
-        calls = _count_im2col(monkeypatch)
+        calls = _count_blocks(monkeypatch)
         out, _ = _conv_backward(x, wp, bp, stride, pad, seed=5)
         assert calls[0] == 5  # the forward's one block; a backward may add its own call
         for got, exp in zip((out.data, wp.grad, bp.grad), want):
             assert got.tobytes() == exp.tobytes()
+
+
+class TestConv2dFlat:
+    """The tape-free stride-1 lowering against the recorded im2col conv and the oracle.
+
+    It adds each dot product as kh partial sums, so it agrees with the
+    recorded path to float32 rounding, not bit for bit.  A batch of one
+    keeps im2col.
+    """
+
+    @staticmethod
+    def _check(x, w, b, pad):
+        free = conv2d(Tensor(x), Tensor(w), Tensor(b), stride=1, pad=pad).data
+        with Tape():
+            recorded = conv2d(Tensor(x), parameter(w, name="w"), Tensor(b), stride=1, pad=pad)
+        cast = [a.astype(x.dtype).astype(np.float64) for a in (w, b)]  # what conv2d computed with
+        expect = conv2d_naive(x.astype(np.float64), *cast, 1, pad)
+        assert free.dtype == x.dtype and free.flags.c_contiguous
+        assert free.shape == recorded.shape == expect.shape
+        _close32(free, expect)
+        _close32(free, recorded.data)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("batch", [1, 2, 5, 7, 64])
+    @pytest.mark.parametrize("k,pad", [(1, 0), (3, 0), (3, 1)])
+    @pytest.mark.parametrize("hw", [(9, 8), (5, 11)])
+    def test_matches_recorded_conv_and_oracle(self, dtype, batch, k, pad, hw):
+        rng = np.random.default_rng([batch, k, pad, *hw])
+        x = rng.normal(size=(batch, 3) + hw).astype(dtype)
+        self._check(x, rng.normal(size=(4, 3, k, k)), rng.normal(size=4), pad)
+
+    @pytest.mark.parametrize("k,pad", [(1, 0), (3, 0), (3, 1)])
+    def test_short_last_block_reads_no_stale_pixels(self, monkeypatch, k, pad):
+        # blocks of 2, 2 and 1: past the last block's one image, the buffer
+        # still holds the previous block's pixels, here 1e4 times larger
+        rng = np.random.default_rng([k, pad])
+        x = rng.normal(size=(5, 3, 9, 8)).astype(np.float32)
+        x[:4] *= 1e4
+        monkeypatch.setattr(nn_ops, "CHUNK_BYTES", 2 * 3 * k * (9 + pad) * (8 + pad) * 4)
+        calls = _count_blocks(monkeypatch, "_conv_flat")
+        w, b = rng.normal(size=(4, 3, k, k)), rng.normal(size=4)
+        last = conv2d(Tensor(x), Tensor(w), Tensor(b), stride=1, pad=pad).data[4:]
+        assert calls == [2, 2, 1]
+        expect = conv2d_naive(x[4:].astype(np.float64), w.astype(np.float32).astype(np.float64),
+                              b.astype(np.float32).astype(np.float64), 1, pad)
+        _close32(last, expect)
+
+    def test_other_convs_keep_im2col(self, monkeypatch):
+        calls = _count_blocks(monkeypatch, "_conv_flat")
+        x = np.random.default_rng(0).normal(size=(2, 3, 9, 8))
+        conv2d(Tensor(x), Tensor(np.ones((4, 3, 1, 1))), stride=1, pad=1)  # pad >= kernel
+        conv2d(Tensor(x), Tensor(np.ones((4, 3, 3, 3))), stride=2, pad=1)
+        conv2d(Tensor(x[:1]), Tensor(np.ones((4, 3, 3, 3))), stride=1, pad=1)  # one sample
+        assert calls == []
+        conv2d(Tensor(x), Tensor(np.ones((4, 3, 3, 3))), stride=1, pad=1)
+        assert calls == [2]
 
 
 class TestFloat32Outputs:
