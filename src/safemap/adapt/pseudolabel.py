@@ -1,4 +1,8 @@
-"""Pseudo-labeling of an unlabeled target domain by a source-trained model."""
+"""Pseudo-labeling of an unlabeled target domain by a source-trained model.
+
+The labels are the argmax of ``model.training.evaluate``'s class
+probabilities, and the agreement with the incoming labels is its accuracy.
+"""
 
 import dataclasses
 from dataclasses import dataclass
@@ -7,8 +11,8 @@ import numpy as np
 
 from ..geo.manifest import DatasetManifest
 from ..model.config import DamConfig
-from ..model.network import DamParams, predict
-from ..model.training import TrainError, batch_tensor, load_split
+from ..model.network import DamParams
+from ..model.training import TrainError, evaluate, load_split
 
 # Not called in this module, but the traced benchmark (bench/layers.py TARGETS) wraps it here.
 from ..geo.ppm import read_ppm  # noqa: F401
@@ -35,16 +39,13 @@ def pseudo_label(manifest: DatasetManifest, image_root, params: DamParams,
     if not manifest.entries:
         raise TrainError("cannot pseudo-label an empty manifest")
     dataset = load_split(manifest, image_root)
-    preds = np.empty(len(manifest.entries), dtype=np.int64)
-    for start in range(0, len(preds), batch_size):
-        sl = slice(start, min(start + batch_size, len(preds)))
-        labels, _ = predict(batch_tensor(dataset.images[sl]), params, config)
-        preds[sl] = labels
+    _, agreement, probs = evaluate(dataset, params, config, batch_size)
+    preds = probs.argmax(axis=1)
     entries = [dataclasses.replace(e, label=int(p), pseudo=True)
                for e, p in zip(manifest.entries, preds)]
     report = PseudoLabelReport(
         total=len(entries),
-        agreement=float((preds == dataset.labels).mean()),
+        agreement=agreement,
         class_counts={int(k): int(v) for k, v in
                       zip(*np.unique(preds, return_counts=True))},
     )

@@ -25,8 +25,9 @@ Tape-free blocks hold as many samples as fit ``cols``, or the shifted
 copies, in ``CHUNK_BYTES`` (the L2 cache; Goto & van de Geijn 2008).  The
 flat path adds each dot product as kh partial sums, so it agrees with the
 recorded path to float32 rounding, not bit for bit; so do blocks of another
-size, as BLAS rounding follows the GEMM's shape.  Inference (evaluation,
-``predict``, CAMs, validation) runs tape-free.
+size, as BLAS rounding follows the GEMM's shape.  Inference (``evaluate``,
+which serves evaluation, validation, pseudo-labels and the safety map, and
+CAMs) runs tape-free.
 
 The backward, on the recorded path only:
 

@@ -15,6 +15,10 @@ optional ``--seed`` override and maps onto one module operation:
     cam           checkpoint + one image -> cam.pgm
     map-export    checkpoint + manifest + grid -> safety_map.csv/.ppm
 
+``eval``, ``pseudo-label`` and ``map-export`` each run one
+``model.training.evaluate`` call at ``eval.batch_size`` and take their
+labels as the argmax of its class probabilities.
+
 Exit codes: 0 success, 1 usage error (bad flags or run config), 2 data
 error (unreadable or inconsistent inputs). All outputs land under the
 config's run directory next to ``config.resolved.json`` and
@@ -44,13 +48,7 @@ from typing import Optional
 import numpy as np
 
 from .adapt import AdaptError, pseudo_label, train_dam_da
-from .autodiff import (
-    CheckpointError,
-    NonFiniteError,
-    TensorError,
-    load_checkpoint,
-    save_checkpoint,
-)
+from .autodiff import CheckpointError, TensorError, load_checkpoint, save_checkpoint
 from .autodiff.tensor import _leaf
 from .fileio import atomic_open
 from .geo.grid import GridError, GridSpec, build_grid, score_cells
@@ -67,12 +65,11 @@ from .geo.records import IngestError, ingest_accidents, records_jsonl
 from .geo.synth import SynthError, synth_generate
 from .jsoncodec import dumps
 from .model.config import ConfigError
-from .model.network import DamParams, param_layout, predict
+from .model.network import DamParams, param_layout
 # not called here, but the traced benchmark (bench/layers.py TARGETS) wraps it
 from .model.network import forward  # noqa: F401
 from .model.training import (
     TrainError,
-    batch_tensor,
     evaluate,
     load_split,
     save_metrics_csv,
@@ -108,8 +105,7 @@ EXIT_DATA = 2
 
 DATA_ERRORS = (IngestError, GridError, LabelingError, ManifestError, SynthError,
                TrainError, AdaptError, ConfigError, CamError, ExportError,
-               MetricsError, CheckpointError, TensorError, NonFiniteError,
-               PpmError, OSError)
+               MetricsError, TensorError, PpmError, OSError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -334,9 +330,8 @@ def cmd_eval(cfg: RunConfig, run: RunDir) -> None:
     root = _require(cfg.paths.image_root, "image_root")
     dataset = load_split(manifest, root, cfg.eval.split)
     params, _ = _load_params(cfg)
-    loss, accuracy, preds = evaluate(dataset, params, cfg.model,
-                                     cfg.eval.batch_size)
-    c = confusion(preds, dataset.labels)
+    loss, accuracy, probs = evaluate(dataset, params, cfg.model, cfg.eval.batch_size)
+    c = confusion(probs.argmax(axis=1), dataset.labels)
     report = metrics_from_confusion(c)
     run.write_json("eval.json", {
         "split": cfg.eval.split, "count": len(dataset),
@@ -377,12 +372,10 @@ def cmd_map_export(cfg: RunConfig, run: RunDir) -> None:
             raise ExportError(f"manifest has more than one entry for cell {cell}")
         seen.add(cell)
     params, _ = _load_params(cfg)
-    predictions = {}
-    for start in range(0, len(dataset), cfg.eval.batch_size):
-        sl = slice(start, start + cfg.eval.batch_size)
-        labels, probs = predict(batch_tensor(dataset.images[sl]), params, cfg.model)
-        for cell, label, prob in zip(cells[sl], labels, probs[:, DANGEROUS]):
-            predictions[cell] = CellPrediction(label=int(label), prob_dangerous=float(prob))
+    _, _, probs = evaluate(dataset, params, cfg.model, cfg.eval.batch_size)
+    predictions = {cell: CellPrediction(label=int(label), prob_dangerous=float(prob))
+                   for cell, label, prob in zip(cells, probs.argmax(axis=1),
+                                                probs[:, DANGEROUS])}
     safety_map_export(spec, predictions,
                       run.path("safety_map.csv"), run.path("safety_map.ppm"))
     counts = {"safe": sum(1 for p in predictions.values() if p.label != DANGEROUS),

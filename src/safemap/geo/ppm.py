@@ -16,30 +16,27 @@ class PpmError(Exception):
     """Malformed or unsupported pixmap file."""
 
 
+def _write_pnm(path, image, magic: bytes, channels: int) -> None:
+    arr = np.asarray(image)
+    tail, layout = ((channels,), f"HxWx{channels}") if channels > 1 else ((), "HxW")
+    if arr.ndim < 2 or arr.shape[2:] != tail:
+        raise PpmError(f"{magic.decode()} needs an {layout} array, got shape {arr.shape}")
+    if arr.dtype != np.uint8:
+        raise PpmError(f"{magic.decode()} writer needs uint8 data, got {arr.dtype}")
+    h, w = arr.shape[:2]
+    with open(path, "wb") as f:
+        f.write(magic + f"\n{w} {h}\n255\n".encode("ascii"))
+        f.write(arr.tobytes(order="C"))
+
+
 def write_ppm(path, rgb: np.ndarray) -> None:
     """Write an HxWx3 uint8 array as binary P6."""
-    arr = np.asarray(rgb)
-    if arr.ndim != 3 or arr.shape[2] != 3:
-        raise PpmError(f"P6 needs an HxWx3 array, got shape {arr.shape}")
-    if arr.dtype != np.uint8:
-        raise PpmError(f"P6 writer needs uint8 data, got {arr.dtype}")
-    h, w, _ = arr.shape
-    with open(path, "wb") as f:
-        f.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
-        f.write(arr.tobytes(order="C"))
+    _write_pnm(path, rgb, b"P6", 3)
 
 
 def write_pgm(path, gray: np.ndarray) -> None:
     """Write an HxW uint8 array as binary P5."""
-    arr = np.asarray(gray)
-    if arr.ndim != 2:
-        raise PpmError(f"P5 needs an HxW array, got shape {arr.shape}")
-    if arr.dtype != np.uint8:
-        raise PpmError(f"P5 writer needs uint8 data, got {arr.dtype}")
-    h, w = arr.shape
-    with open(path, "wb") as f:
-        f.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
-        f.write(arr.tobytes(order="C"))
+    _write_pnm(path, gray, b"P5", 1)
 
 
 def _read_header_tokens(f, n: int) -> list[int]:

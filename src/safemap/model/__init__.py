@@ -8,7 +8,6 @@ from .network import (
     init_params,
     local_forward,
     partition_regions,
-    predict,
     select_region,
 )
 from .training import (
@@ -43,7 +42,6 @@ __all__ = [
     "load_split",
     "local_forward",
     "partition_regions",
-    "predict",
     "save_metrics_csv",
     "select_region",
     "train_dam",

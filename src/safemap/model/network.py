@@ -18,6 +18,9 @@ The argmax selection is non-differentiable; gradients flow only through
 the winning branch, so the local fc never receives a gradient from the
 classification loss and stays at its initialization (expected_gradless
 names it for the optimizer).
+
+``forward`` runs one batch; ``model.training.evaluate`` is the loop that
+runs it over a dataset for labels and class probabilities.
 """
 
 from __future__ import annotations
@@ -246,15 +249,3 @@ def forward(images: Tensor, params: DamParams, config: DamConfig) -> ForwardTrac
     logits = linear(feature, params["head.classifier.weight"], params["head.classifier.bias"])
     return ForwardTrace(logits=logits, feature=feature, cam_map=fused,
                         region_probs=region_probs, selected=selected, region_tags=tags)
-
-
-def predict(images: Tensor, params: DamParams, config: DamConfig
-            ) -> tuple[np.ndarray, np.ndarray]:
-    """Hard labels and float64 class probabilities, no gradient tracking.
-
-    The softmax runs on the logits cast to float64, so a float32 batch does
-    not saturate its probabilities to exactly 0 or 1.
-    """
-    trace = forward(images, params, config)
-    probs = softmax(trace.logits.data.astype(np.float64), axis=1)
-    return probs.argmax(axis=1), probs

@@ -1,4 +1,4 @@
-"""The epoch loop every trainer runs, and cross-entropy training on it.
+"""The epoch loop every trainer runs, cross-entropy training on it, and inference.
 
 ``train_loop`` is the one place where batches are stepped through: plain
 SGD with a step-decayed learning rate, per-epoch train/val metrics, the
@@ -7,6 +7,10 @@ seeded shuffle per epoch) and a batch loss. ``train_dam`` is plain
 cross-entropy on one shuffled set; ``adapt.training.train_dam_da`` is the
 half source, half target adaptation trainer. Identical seeds give
 bit-identical parameters, metrics, and checkpoints.
+
+``evaluate`` is the one inference loop: validation, ``safemap eval``,
+pseudo-labels and the safety map all take their loss, accuracy and class
+probabilities from it.
 """
 
 from __future__ import annotations
@@ -24,13 +28,14 @@ from ..autodiff import (
     Tensor,
     backward,
     sgd_step,
+    softmax,
     softmax_cross_entropy,
     step_decay_lr,
 )
 from ..fileio import atomic_open
 from ..geo.manifest import DatasetManifest, ManifestEntry, warn_if_unbalanced
 from ..geo.ppm import read_ppm
-from .config import DamConfig
+from .config import NUM_CLASSES, DamConfig
 from .network import DamParams, ForwardTrace, forward, init_params
 
 
@@ -48,11 +53,10 @@ class TrainConfig:
     seed: int = 0
     # stop once validation accuracy reaches this level (None = run all epochs)
     early_stop_val_acc: Optional[float] = None
-    eval_batch_size: int = 64
 
     def __post_init__(self):
         # reject values that would only fail epochs into a run
-        for name in ("epochs", "batch_size", "lr_decay_every", "eval_batch_size"):
+        for name in ("epochs", "batch_size", "lr_decay_every"):
             if getattr(self, name) < 1:
                 raise TrainError(f"{name} must be at least 1, got {getattr(self, name)}")
         for name in ("lr0", "lr_decay"):
@@ -95,7 +99,11 @@ class Dataset:
 
 
 def load_split(manifest: DatasetManifest, image_root, split: Optional[str] = None) -> Dataset:
-    """Load the images of the manifest's ``split`` entries (all when None) into memory."""
+    """Load the images of the manifest's ``split`` entries (all when None) into memory.
+
+    Every tile must have the first tile's size; the first that does not is
+    named in a TrainError.
+    """
     entries = manifest.subset(split)
     if not entries:
         raise TrainError(f"manifest has no entries for split={split!r}")
@@ -104,6 +112,9 @@ def load_split(manifest: DatasetManifest, image_root, split: Optional[str] = Non
     labels = []
     for e in entries:
         rgb = read_ppm(root / e.image)  # [H, W, 3]
+        if imgs and rgb.shape[:2] != imgs[0].shape[1:]:
+            raise TrainError(f"tile {e.image} is {rgb.shape[0]}x{rgb.shape[1]}, but "
+                             f"{entries[0].image} is {imgs[0].shape[1]}x{imgs[0].shape[2]}")
         imgs.append(rgb.transpose(2, 0, 1))
         labels.append(e.label)
     return Dataset(images=np.stack(imgs), labels=np.asarray(labels, dtype=np.int64),
@@ -113,7 +124,7 @@ def load_split(manifest: DatasetManifest, image_root, split: Optional[str] = Non
 def batch_tensor(images_u8: np.ndarray) -> Tensor:
     """uint8 [B,C,H,W] to a centered float32 tensor in [-1, 1].
 
-    This is where training, evaluation, prediction and CAMs get their
+    This is where training, evaluation and CAMs get their
     compute dtype: every op downstream follows its input's dtype, so the
     forward and backward passes run in float32 while the parameters, their
     gradients and the SGD update stay float64.
@@ -125,18 +136,22 @@ def batch_tensor(images_u8: np.ndarray) -> Tensor:
 
 def evaluate(dataset: Dataset, params: DamParams, config: DamConfig,
              batch_size: int = 64) -> tuple[float, float, np.ndarray]:
-    """Mean loss, accuracy, and hard predictions over a dataset."""
+    """Mean loss, accuracy, and float64 class probabilities [N, K] over a dataset.
+
+    Runs tape-free outside a Tape. The softmax runs on each batch's logits
+    cast to float64, so a float32 batch does not saturate its probabilities
+    to exactly 0 or 1; hard labels are ``probs.argmax(axis=1)``.
+    """
     losses = []
-    preds = np.empty(len(dataset), dtype=np.int64)
+    probs = np.empty((len(dataset), NUM_CLASSES))
     for start in range(0, len(dataset), batch_size):
         sl = slice(start, min(start + batch_size, len(dataset)))
-        x = batch_tensor(dataset.images[sl])
-        trace = forward(x, params, config)
-        loss = softmax_cross_entropy(trace.logits, dataset.labels[sl])
+        logits = forward(batch_tensor(dataset.images[sl]), params, config).logits
+        loss = softmax_cross_entropy(logits, dataset.labels[sl])
         losses.append(loss.item() * (sl.stop - sl.start))
-        preds[sl] = trace.logits.data.argmax(axis=1)
-    accuracy = float((preds == dataset.labels).mean())
-    return sum(losses) / len(dataset), accuracy, preds
+        probs[sl] = softmax(logits.data.astype(np.float64), axis=1)
+    accuracy = float((probs.argmax(axis=1) == dataset.labels).mean())
+    return sum(losses) / len(dataset), accuracy, probs
 
 
 @dataclass
@@ -191,8 +206,7 @@ def train_loop(batches: BatchSource, batch_loss: BatchLoss, val_set: Optional[Da
         train_acc = epoch_correct / epoch_n
         metrics.append(MetricsRow(epoch, "train", train_loss, train_acc))
         if val_set is not None and len(val_set):
-            val_loss, val_acc, _ = evaluate(val_set, params, config,
-                                            train_cfg.eval_batch_size)
+            val_loss, val_acc, _ = evaluate(val_set, params, config)
             metrics.append(MetricsRow(epoch, "val", val_loss, val_acc))
             final_val_acc = val_acc
         if log:

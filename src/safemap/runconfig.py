@@ -8,7 +8,7 @@ the module that consumes it:
     model     DamConfig fields
     train     TrainConfig fields
     da        DaTrainConfig fields (lam is the alignment weight)
-    eval      evaluation split and batch size
+    eval      evaluation split; batch size of eval, pseudo-label, map-export
     cam       class index to visualize
     paths     every file the subcommands read or write under
 

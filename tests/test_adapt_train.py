@@ -12,12 +12,13 @@ from safemap.adapt import (
 from safemap.autodiff import Tape, Tensor, save_checkpoint, softmax_cross_entropy
 from safemap.geo.synth import synth_generate
 from safemap.model import DamConfig, SubregionScheme, init_params
-from safemap.model.network import forward, predict
+from safemap.model.network import forward
 from safemap.model.training import (
     Dataset,
     TrainConfig,
     TrainError,
     batch_tensor,
+    evaluate,
     load_split,
 )
 
@@ -54,12 +55,19 @@ class TestPseudoLabel:
         assert all(e.pseudo for e in out.entries)
         assert len(out.entries) == len(tman.entries)
         ds = load_split(out, troot)
-        labels, _ = predict(batch_tensor(ds.images), params, SMALL)
+        _, _, probs = evaluate(ds, params, SMALL, batch_size=len(ds))
         by_image = {e.image: e.label for e in out.entries}
         got = np.array([by_image[e.image] for e in ds.entries])
-        assert np.array_equal(got, labels)
+        assert np.array_equal(got, probs.argmax(axis=1))
         assert report.total == len(out.entries)
         assert 0.0 <= report.agreement <= 1.0
+
+    def test_agreement_is_evaluate_accuracy(self, source_sets, target_sets):
+        troot, tman = target_sets
+        params = init_params(SMALL, seed=2)
+        _, report = pseudo_label(tman, troot, params, SMALL, batch_size=7)
+        _, accuracy, _ = evaluate(load_split(tman, troot), params, SMALL, batch_size=7)
+        assert report.agreement == accuracy
 
     def test_deterministic(self, source_sets, target_sets):
         troot, tman = target_sets
@@ -233,11 +241,6 @@ class TestTrainDamDa:
         shared = {f: getattr(TrainConfig(), f) for f in TrainConfig.__dataclass_fields__}
         del shared["batch_size"]
         assert {f: getattr(cfg, f) for f in shared} == shared
-
-    @pytest.mark.parametrize("value", [0, -4])
-    def test_bad_eval_batch_size_rejected(self, value):
-        with pytest.raises(TrainError, match="eval_batch_size"):
-            DaTrainConfig(eval_batch_size=value)
 
     @pytest.mark.parametrize("field,value", [
         ("lr0", 0.0), ("lr0", -1e-4), ("lr0", float("nan")),

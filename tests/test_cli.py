@@ -5,6 +5,7 @@ import ctypes
 import dataclasses
 import json
 import os
+import shutil
 import struct
 import subprocess
 import sys
@@ -27,9 +28,11 @@ from safemap.cli import (
     main,
 )
 from safemap.geo.grid import GridSpec
-from safemap.geo.manifest import load_manifest, save_manifest
+from safemap.geo.manifest import DANGEROUS, load_manifest, save_manifest
+from safemap.geo.ppm import read_ppm, write_ppm
 from safemap.model.config import DamConfig
 from safemap.model.network import init_params
+from safemap.model.training import evaluate, load_split
 from safemap.runconfig import PathsSection, RunConfig
 
 from oracles import kmeans2_best_split
@@ -186,12 +189,23 @@ class TestConfigErrors:
     ])
     def test_bad_eval_batch_size_is_usage_error(self, tmp_path, capsys, section, key,
                                                 value):
-        # these used to crash mid-run or score uninitialized predictions
+        # these used to crash mid-run or score uninitialized predictions; the
+        # train and da keys are gone, so they now fail as unknown keys
         cfg = write_config(tmp_path / "c.json", {section: {key: value},
                                                  "paths": {"run_dir": str(tmp_path / "run")}})
         assert main(["eval", "--config", cfg]) == EXIT_USAGE
         err = capsys.readouterr().err
         assert f"section '{section}'" in err and key in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("section", ["train", "da"])
+    def test_removed_eval_batch_size_keys_rejected(self, tmp_path, capsys, section):
+        # validation runs at evaluate's default batch size; eval.batch_size is the one knob
+        cfg = write_config(tmp_path / "c.json", {section: {"eval_batch_size": 64},
+                                                 "paths": {"run_dir": str(tmp_path / "run")}})
+        assert main(["train", "--config", cfg]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"section '{section}': unknown keys ['eval_batch_size']" in err
         assert "Traceback" not in err
 
     def test_removed_roi_stage_key_rejected(self, tmp_path, capsys):
@@ -706,6 +720,52 @@ class TestTraining:
         assert "cell (23, 0) outside the 23x1 grid" in err
         assert "Traceback" not in err
         assert run_files(tmp_path / "map") == ["config.resolved.json", "run_manifest.json"]
+
+    def test_safety_map_probabilities_are_evaluate_probabilities(self, synth_run, tmp_path,
+                                                                 capsys):
+        config = DamConfig.from_dict(SMALL_MODEL)
+        params = init_params(config, seed=1)
+        ckpt = tmp_path / "init.ckpt"
+        save_checkpoint(ckpt, params.all(), {"epoch": 0})
+        # synth gives image i the cell (i, 0): one row of 24 cells
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps(GridSpec(origin_lat=51.5, origin_lon=-0.12,
+                                            cell_size_m=30.0, columns=24, rows=1,
+                                            ref_lat=51.5).to_dict()))
+        cfg = write_config(tmp_path / "map.json", {
+            "model": SMALL_MODEL, "eval": {"batch_size": 5},
+            "paths": {"run_dir": str(tmp_path / "map"), "grid_json": str(grid),
+                      "manifest": str(synth_run / "manifest.jsonl"),
+                      "image_root": str(synth_run), "checkpoint": str(ckpt)}})
+        assert main(["map-export", "--config", cfg]) == EXIT_OK
+        dataset = load_split(load_manifest(synth_run / "manifest.jsonl"), synth_run)
+        _, _, probs = evaluate(dataset, params, config, batch_size=5)
+        with open(tmp_path / "map" / "safety_map.csv", encoding="utf-8", newline="") as f:
+            rows = {(int(r["col"]), int(r["row"])): r for r in csv.DictReader(f)}
+        for entry, p in zip(dataset.entries, probs):
+            row = rows[entry.cell]
+            assert float(row["prob_dangerous"]) == p[DANGEROUS]
+            assert int(row["label"]) == p.argmax()
+
+    def test_tile_of_another_size_is_data_error(self, synth_run, tmp_path, capsys):
+        # each used to end in np.stack's "all input arrays must have the same shape"
+        tiles = tmp_path / "tiles"
+        shutil.copytree(synth_run, tiles)
+        manifest = load_manifest(tiles / "manifest.jsonl")
+        first, *_, odd = manifest.subset("test")
+        write_ppm(tiles / odd.image, read_ppm(tiles / odd.image)[:60])
+        ckpt = tmp_path / "init.ckpt"
+        save_checkpoint(ckpt, init_params(DamConfig.from_dict(SMALL_MODEL), seed=0).all(),
+                        {"epoch": 0})
+        cfg = write_config(tmp_path / "eval.json", {
+            "model": SMALL_MODEL,
+            "paths": {"run_dir": str(tmp_path / "e"),
+                      "manifest": str(tiles / "manifest.jsonl"),
+                      "image_root": str(tiles), "checkpoint": str(ckpt)}})
+        assert main(["eval", "--config", cfg]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.splitlines() == [f"safemap: error: tile {odd.image} is 60x64, but "
+                                    f"{first.image} is 64x64"]
 
     def test_failed_run_declares_no_missing_file(self, synth_run, tmp_path, capsys):
         # map-export asks for its output paths, then fails on a cell past the

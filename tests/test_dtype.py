@@ -2,7 +2,7 @@
 
 ``batch_tensor`` is the one place that picks float32; every op follows its
 input's dtype; parameters, their gradients, the SGD update and checkpoints
-stay float64; the covariance losses and ``predict``'s softmax upcast to
+stay float64; the covariance losses and ``evaluate``'s softmax upcast to
 float64.
 """
 
@@ -12,14 +12,18 @@ import pytest
 from safemap.adapt.covariance import FeatureBatch, loss_coral, loss_da
 from safemap.autodiff import Tape, Tensor, backward, nn_ops, softmax_cross_entropy, tensor_sum
 from safemap.autodiff import tensor as tensor_mod
-from safemap.model import DamConfig, forward, init_params, predict
-from safemap.model.training import batch_tensor
+from safemap.model import DamConfig, forward, init_params
+from safemap.model.training import Dataset, batch_tensor, evaluate
 
 SMALL = DamConfig(input_hw=(64, 64), stage_widths=(4, 6, 8, 10), local_widths=(6, 6), d=8)
 
 
 def _images(n, seed=0):
     return np.random.default_rng(seed).integers(0, 256, size=(n, 3, 64, 64), dtype=np.uint8)
+
+
+def _dataset(n, seed=0):
+    return Dataset(images=_images(n, seed), labels=np.arange(n) % 2, entries=[])
 
 
 def test_batch_tensor_rounds_each_value_once_to_float32():
@@ -65,7 +69,7 @@ def test_float32_batch_runs_every_op_in_float32(config, monkeypatch):
 @pytest.mark.parametrize("config", [DamConfig(), DamConfig(da_mode=True)],
                          ids=["default", "da_mode"])
 def test_float32_predict_runs_every_op_in_float32(config, monkeypatch):
-    # the tape-free twin: predict's stride-1 convs take the flat lowering,
+    # the tape-free twin: evaluate's stride-1 convs take the flat lowering,
     # whose buffers must follow the batch's dtype too
     outputs, flat_blocks = [], []
     real_make_op, real_conv_flat = tensor_mod._make_op, nn_ops._conv_flat
@@ -83,12 +87,13 @@ def test_float32_predict_runs_every_op_in_float32(config, monkeypatch):
     for module in (nn_ops, tensor_mod):
         monkeypatch.setattr(module, "_make_op", make_op)
     monkeypatch.setattr(nn_ops, "_conv_flat", conv_flat)
-    labels, probs = predict(batch_tensor(_images(3)), init_params(config, seed=0), config)
+    _, _, probs = evaluate(_dataset(3), init_params(config, seed=0), config)
     convs = [dt for op, dt in outputs if op == "conv2d"]
     assert len(convs) >= 12 and len(flat_blocks) >= 9
+    # the loss is float32 too
     assert [(op, dt) for op, dt in outputs if dt != np.float32] == []
     assert set(flat_blocks) == {(np.dtype(np.float32),) * 5}  # xt, wi, flat, buf, sum
-    assert probs.dtype == np.float64 and labels.shape == (3,)
+    assert probs.dtype == np.float64 and probs.shape == (3, 2)
 
 
 def test_parameters_and_gradients_stay_float64():
@@ -106,10 +111,11 @@ def test_parameters_and_gradients_stay_float64():
 
 def test_predict_gives_float64_probabilities():
     params = init_params(SMALL, seed=3)
-    labels, probs = predict(batch_tensor(_images(6, seed=1)), params, SMALL)
+    _, _, probs = evaluate(_dataset(6, seed=1), params, SMALL)
     assert probs.dtype == np.float64
     np.testing.assert_allclose(probs.sum(axis=1), 1.0, rtol=0, atol=1e-12)
-    np.testing.assert_array_equal(labels, probs.argmax(axis=1))
+    logits = forward(batch_tensor(_images(6, seed=1)), params, SMALL).logits.data
+    np.testing.assert_array_equal(probs.argmax(axis=1), logits.argmax(axis=1))
 
 
 def _feature_rows(seed):

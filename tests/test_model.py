@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from safemap.autodiff import Rect, Tape, Tensor, softmax_cross_entropy
+from safemap.autodiff import Rect, Tape, Tensor, softmax, softmax_cross_entropy
 from safemap.model import (
     ConfigError,
     DamConfig,
@@ -12,10 +12,9 @@ from safemap.model import (
     init_params,
     local_forward,
     partition_regions,
-    predict,
     select_region,
 )
-from safemap.model.training import batch_tensor
+from safemap.model.training import Dataset, batch_tensor, evaluate
 
 # Small geometry for fast full-model checks: 24 -> 11 -> 11 -> 5 -> 2
 TOY = dict(input_hw=(24, 24), stage_widths=(3, 4, 5, 6), local_widths=(3, 4), d=6)
@@ -299,17 +298,26 @@ class TestFullModelGradCheck:
         assert all(p.grad is not None for p in others)
 
 
+def unlabeled(images_u8):
+    """A Dataset of the given tiles, all labelled 0."""
+    return Dataset(images=images_u8, labels=np.zeros(len(images_u8), dtype=np.int64),
+                   entries=[])
+
+
 class TestPredict:
+    """Labels and class probabilities as ``evaluate`` gives them to every caller."""
+
     def test_probs_sum_to_one_and_deterministic(self):
         cfg = toy_config((scheme("SQ", 4),))
         params = init_params(cfg, seed=0)
-        x = Tensor(np.random.default_rng(0).normal(size=(5, 3, 24, 24)))
-        labels1, probs1 = predict(x, params, cfg)
-        labels2, probs2 = predict(x, params, cfg)
+        ds = unlabeled(np.random.default_rng(0).integers(0, 256, size=(5, 3, 24, 24),
+                                                         dtype=np.uint8))
+        loss1, acc1, probs1 = evaluate(ds, params, cfg)
+        loss2, acc2, probs2 = evaluate(ds, params, cfg)
         np.testing.assert_allclose(probs1.sum(axis=1), 1.0, atol=1e-12)
-        np.testing.assert_array_equal(labels1, labels2)
+        assert (loss1, acc1) == (loss2, acc2)
         assert probs1.tobytes() == probs2.tobytes()
-        np.testing.assert_array_equal(labels1, probs1.argmax(axis=1))
+        assert acc1 == (probs1.argmax(axis=1) == ds.labels).mean()
 
     @pytest.mark.parametrize("config", [DamConfig(), DamConfig(da_mode=True)],
                              ids=["default", "da_mode"])
@@ -317,14 +325,16 @@ class TestPredict:
         # the tape-free stride-1 convs take the flat lowering and the taped
         # ones im2col: equal up to float32 rounding, so equal decisions
         params = init_params(config, seed=4)
-        x = batch_tensor(np.random.default_rng(4).integers(0, 256, size=(7, 3, 64, 64),
-                                                           dtype=np.uint8))
+        images = np.random.default_rng(4).integers(0, 256, size=(7, 3, 64, 64), dtype=np.uint8)
+        x = batch_tensor(images)
         free = forward(x, params, config)
-        labels, _ = predict(x, params, config)
+        _, _, probs = evaluate(unlabeled(images), params, config)
         with Tape():
             taped = forward(x, params, config)
         assert free.logits.data.dtype == taped.logits.data.dtype == np.float32
         np.testing.assert_allclose(free.logits.data, taped.logits.data, rtol=1e-5,
                                    atol=1e-5 * np.abs(taped.logits.data).max())
         np.testing.assert_array_equal(free.selected, taped.selected)
-        np.testing.assert_array_equal(labels, taped.logits.data.argmax(axis=1))
+        # one batch: the softmax of exactly the tape-free logits, upcast
+        assert probs.tobytes() == softmax(free.logits.data.astype(np.float64), axis=1).tobytes()
+        np.testing.assert_array_equal(probs.argmax(axis=1), taped.logits.data.argmax(axis=1))
