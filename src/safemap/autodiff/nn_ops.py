@@ -8,9 +8,9 @@ conv2d lowers a convolution to GEMMs in one of three ways.
 * A recorded conv (see ``_records``) is im2col plus one GEMM over the whole
   batch (Chellapilla et al. 2006), kept exact so that training stays
   bit-identical.  ``_im2col`` reads the input channel-major, zero-borders it
-  when padded, and fills ``cols`` ``[K, N]`` with kh*kw strided slice copies
-  (K = Cin*kh*kw, N = B*Ho*Wo); ``w2 @ cols`` (``w2``: the weight as
-  ``[Cout, K]``) is then copied, transposed, into NCHW.
+  when padded, and fills ``cols`` ``[K, N]`` (K = Cin*kh*kw, N = B*Ho*Wo)
+  with one copy from a strided view of the bordered input; ``w2 @ cols``
+  (``w2``: the weight as ``[Cout, K]``) is then copied, transposed, into NCHW.
 * A tape-free stride-1 conv of more than one sample with ``pad < kh`` and
   ``pad < kw`` lowers as in MEC (Cho & Brand 2017), in ``_conv_flat``: each
   sample block is copied once into a flat buffer of row pitch ``P = W + pad``
@@ -61,6 +61,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .tensor import (
     ShapeError,
@@ -108,8 +109,9 @@ def _im2col(xt: np.ndarray, kh: int, kw: int, stride: int, ph: int, pw: int,
     """Column matrix ``[C*kh*kw, B*Ho*Wo]`` of a channel-major ``[C, B, H, W]`` array.
 
     The input is zero-padded by ``ph`` rows and ``pw`` columns on each side;
-    cols[(c, i, j), (b, oy, ox)] = xp[c, b, i + stride*oy, j + stride*ox].
-    ``out``: a flat buffer of exactly that size, so its reshape is a view.
+    cols[(c, i, j), (b, oy, ox)] = xp[c, b, i + stride*oy, j + stride*ox],
+    one copy from a read-only strided view of ``xp``.  ``out``: a flat
+    buffer of exactly that size, so its reshape is a view.
     """
     C, B, H, W = xt.shape
     if ph or pw:
@@ -119,9 +121,9 @@ def _im2col(xt: np.ndarray, kh: int, kw: int, stride: int, ph: int, pw: int,
         xp = xt
     cols6 = (np.empty(C * kh * kw * B * Ho * Wo, dtype=xt.dtype) if out is None
              else out).reshape(C, kh, kw, B, Ho, Wo)
-    for i in range(kh):
-        for j in range(kw):
-            cols6[:, i, j] = xp[:, :, i:i + stride * Ho:stride, j:j + stride * Wo:stride]
+    sc, sb, sy, sx = xp.strides
+    np.copyto(cols6, as_strided(xp, cols6.shape, (sc, sy, sx, sb, stride * sy, stride * sx),
+                                writeable=False))
     return cols6.reshape(C * kh * kw, B * Ho * Wo)
 
 

@@ -15,10 +15,11 @@ two.
 
 Differentiable operations record nodes onto the active :class:`Tape` in
 execution order, which is by construction a topological order of the
-computation graph.  ``backward(loss)`` replays the tape in reverse,
+computation graph.  ``backward(loss)`` consumes the tape in reverse,
 accumulating gradients additively; accumulation order is fixed by tape
-order, so repeated runs with identical inputs produce bit-identical
-gradients.
+order, so repeated runs with identical inputs give bit-identical gradients
+on one numpy/OpenBLAS build at one BLAS thread count (BLAS splits its
+GEMMs, and so rounds them, by thread).
 
 Every op output is checked for NaN/Inf and rejects non-finite values
 immediately rather than letting them propagate.
@@ -125,28 +126,24 @@ class Tensor:
         return matmul(self, other)
 
 
-class _Node:
-    __slots__ = ("out", "backward_fn")
-
-    def __init__(self, out: Tensor, backward_fn: Callable[[np.ndarray], None]):
-        self.out = out
-        self.backward_fn = backward_fn
-
-
 class Tape:
     """Execution-ordered record of differentiable op nodes.
 
     Use as a context manager around a forward pass; at most one tape may be
     active per thread.  Ops record a node only when some input requires a
     gradient, so inference outside a tape costs nothing extra.
+
+    A tape runs backward once, and only leaves keep ``.grad``: ``backward``
+    pops each node and drops its output's gradient as it runs it, so saved
+    op state (a conv's ``cols``) and activation gradients are freed as it goes.
     """
 
     def __init__(self):
-        self._nodes: list[_Node] = []
-        self._outputs: set[int] = set()
+        self._nodes: list[tuple[Tensor, Callable[[np.ndarray], None]]] = []
+        self._consumed: Optional[int] = None  # the ops recorded, once backward pops them
 
     def __len__(self) -> int:
-        return len(self._nodes)
+        return len(self._nodes) if self._consumed is None else self._consumed
 
     def __enter__(self) -> "Tape":
         if _active_tape() is not None:
@@ -158,21 +155,24 @@ class Tape:
         _tls.tape = None
 
     def _record(self, out: Tensor, backward_fn: Callable[[np.ndarray], None]) -> None:
-        self._nodes.append(_Node(out, backward_fn))
-        self._outputs.add(id(out))
+        self._nodes.append((out, backward_fn))
 
     def backward(self, loss: Tensor) -> None:
-        """Populate gradients of ``loss`` w.r.t. every tensor that needs one."""
+        """Populate gradients of ``loss`` w.r.t. every leaf that needs one."""
+        if self._consumed is not None:
+            raise TensorError("this tape already ran backward; record a new one")
         if loss.data.size != 1:
             raise ShapeError(f"backward expects a scalar loss, got shape {loss.shape}")
-        if id(loss) not in self._outputs:
+        nodes = self._nodes
+        if not any(out is loss for out, _ in reversed(nodes)):
             raise TensorError("loss tensor was not recorded on this tape")
+        self._consumed = len(nodes)
         loss.grad = np.ones_like(loss.data)
-        for node in reversed(self._nodes):
-            g = node.out.grad
-            if g is None:
-                continue
-            node.backward_fn(g)
+        while nodes:
+            out, backward_fn = nodes.pop()
+            g, out.grad = out.grad, None
+            if g is not None:
+                backward_fn(g)
 
 
 def backward(loss: Tensor) -> None:

@@ -24,8 +24,9 @@ error (unreadable or inconsistent inputs). All outputs land under the
 config's run directory next to ``config.resolved.json`` and
 ``run_manifest.json``, which declares every file in that directory, those
 of earlier subcommands that shared it included; rerunning with identical
-inputs and seed reproduces each artifact byte for byte. Concurrent runs
-must use distinct run directories.
+inputs and seed reproduces each artifact byte for byte on one numpy/OpenBLAS
+build at one BLAS thread count (BLAS rounding follows its thread split).
+Concurrent runs must use distinct run directories.
 
 ``main()`` may be called any number of times in one process, one run per
 call. The argument parser is built once, on the first call, and reused:
@@ -170,6 +171,7 @@ def _read_records(cfg: RunConfig):
 
 
 def cmd_ingest(cfg: RunConfig, run: RunDir) -> None:
+    """Parse the accident CSV into records.jsonl."""
     result = _read_records(cfg)
     with atomic_open(run.path("records.jsonl"), "w", encoding="utf-8", newline="\n") as f:
         for line in records_jsonl(result):
@@ -179,6 +181,7 @@ def cmd_ingest(cfg: RunConfig, run: RunDir) -> None:
 
 
 def cmd_grid(cfg: RunConfig, run: RunDir) -> None:
+    """Grid the accident CSV into grid.json and per-cell scores.csv."""
     result = _read_records(cfg)
     spec, cols, rows = build_grid(result.latitude, result.longitude, cfg.pipeline.cell_size_m)
     counts = score_cells(spec, cols, rows)
@@ -208,6 +211,7 @@ def _read_scores(path) -> list[tuple[int, int, int]]:
 
 
 def cmd_label(cfg: RunConfig, run: RunDir) -> None:
+    """Bin scores.csv into safe and dangerous cells (labels.csv) by 2-means."""
     rows = _read_scores(_require(cfg.paths.scores_csv, "scores_csv"))
     result = kmeans_bin([s for _, _, s in rows])
     with atomic_open(run.path("labels.csv"), "w", encoding="utf-8", newline="") as f:
@@ -223,6 +227,7 @@ def cmd_label(cfg: RunConfig, run: RunDir) -> None:
 
 
 def cmd_balance(cfg: RunConfig, run: RunDir) -> None:
+    """Write a class-balanced copy of the dataset manifest."""
     manifest = load_manifest(_require(cfg.paths.manifest, "manifest"))
     balanced = balance(manifest, cfg.pipeline.seed)
     save_manifest(run.path("manifest.balanced.jsonl"), balanced)
@@ -232,6 +237,7 @@ def cmd_balance(cfg: RunConfig, run: RunDir) -> None:
 
 
 def cmd_synth(cfg: RunConfig, run: RunDir) -> None:
+    """Generate a seeded synthetic labeled tile set and its manifest."""
     s = cfg.synth
     result = synth_generate(run.root / "synth", n_per_class=s.n_per_class,
                             image_hw=s.image_hw, jitter_px=s.jitter_px,
@@ -282,6 +288,7 @@ def _save_train_outputs(cfg: RunConfig, run: RunDir, result) -> None:
 
 
 def cmd_train(cfg: RunConfig, run: RunDir) -> None:
+    """Train the classifier on a manifest's train split; write checkpoint and metrics.csv."""
     manifest = load_manifest(_require(cfg.paths.manifest, "manifest"))
     root = _require(cfg.paths.image_root, "image_root")
     train_set = load_split(manifest, root, "train")
@@ -291,6 +298,7 @@ def cmd_train(cfg: RunConfig, run: RunDir) -> None:
 
 
 def cmd_pseudo_label(cfg: RunConfig, run: RunDir) -> None:
+    """Label a target manifest with a checkpoint's predictions."""
     manifest = load_manifest(_require(cfg.paths.target_manifest, "target_manifest"))
     root = _require(cfg.paths.target_image_root, "target_image_root")
     params, _ = _load_params(cfg)
@@ -303,6 +311,7 @@ def cmd_pseudo_label(cfg: RunConfig, run: RunDir) -> None:
 
 
 def cmd_train_da(cfg: RunConfig, run: RunDir) -> None:
+    """Adapt a classifier to pseudo-labeled target tiles; write checkpoint and metrics.csv."""
     source = load_manifest(_require(cfg.paths.manifest, "manifest"))
     source_root = _require(cfg.paths.image_root, "image_root")
     target = load_manifest(_require(cfg.paths.target_manifest, "target_manifest"))
@@ -326,6 +335,7 @@ def cmd_train_da(cfg: RunConfig, run: RunDir) -> None:
 
 
 def cmd_eval(cfg: RunConfig, run: RunDir) -> None:
+    """Evaluate a checkpoint on a manifest split into eval.json."""
     manifest = load_manifest(_require(cfg.paths.manifest, "manifest"))
     root = _require(cfg.paths.image_root, "image_root")
     dataset = load_split(manifest, root, cfg.eval.split)
@@ -344,6 +354,7 @@ def cmd_eval(cfg: RunConfig, run: RunDir) -> None:
 
 
 def cmd_cam(cfg: RunConfig, run: RunDir) -> None:
+    """Write the class activation map of one image as cam.pgm."""
     image = read_ppm(_require(cfg.paths.image, "image"))
     params, _ = _load_params(cfg)
     result = cam(image, params, cfg.model, cfg.cam.class_index)
@@ -361,6 +372,7 @@ def _read_grid(path) -> GridSpec:
 
 
 def cmd_map_export(cfg: RunConfig, run: RunDir) -> None:
+    """Predict every manifest cell and export safety_map.csv and safety_map.ppm."""
     spec = _read_grid(_require(cfg.paths.grid_json, "grid_json"))
     manifest = load_manifest(_require(cfg.paths.manifest, "manifest"))
     root = _require(cfg.paths.image_root, "image_root")

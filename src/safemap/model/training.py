@@ -6,7 +6,9 @@ progress line and early stopping. A trainer supplies a batch source (one
 seeded shuffle per epoch) and a batch loss. ``train_dam`` is plain
 cross-entropy on one shuffled set; ``adapt.training.train_dam_da`` is the
 half source, half target adaptation trainer. Identical seeds give
-bit-identical parameters, metrics, and checkpoints.
+bit-identical parameters, metrics, and checkpoints on one numpy/OpenBLAS
+build at one BLAS thread count; another thread count rounds the GEMMs, and
+so the parameters, differently.
 
 ``evaluate`` is the one inference loop: validation, ``safemap eval``,
 pseudo-labels and the safety map all take their loss, accuracy and class

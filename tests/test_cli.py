@@ -82,6 +82,12 @@ class TestParser:
         sub = next(a for a in parser._actions if a.dest == "subcommand")
         assert set(sub.choices) == expected
 
+    def test_every_subcommand_has_help(self):
+        sub = next(a for a in build_parser()._actions if a.dest == "subcommand")
+        helps = {a.dest: a.help for a in sub._choices_actions}
+        assert set(helps) == set(COMMANDS)
+        assert all(h and h.strip() for h in helps.values()), helps
+
     def test_unknown_flag_exits_1_with_usage(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["synth", "--config", "c.json", "--bogus"])

@@ -7,6 +7,7 @@ the random-shape tests recompute the oracle inline.
 import itertools
 import math
 import operator
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -761,6 +762,64 @@ class TestTapeAndErrors:
             with pytest.raises(Exception, match="already active"):
                 with Tape():
                     pass
+
+    def test_second_backward_raises_and_keeps_leaf_grads(self):
+        x = parameter(np.array([1.0, -2.0]), name="x")
+        with Tape() as tape:
+            loss = tensor_sum(x * x)
+            tape.backward(loss)
+            want = x.grad.copy()
+            with pytest.raises(TensorError, match="already ran backward"):
+                tape.backward(loss)
+        assert x.grad.tobytes() == want.tobytes()
+
+    def test_loss_from_another_tape_rejected(self):
+        x = parameter(np.array([1.0]), name="x")
+        with Tape():
+            other = tensor_sum(x * x)
+        with Tape() as tape, pytest.raises(TensorError, match="not recorded on this tape"):
+            tensor_sum(x + x)
+            tape.backward(other)
+        assert x.grad is None
+
+    def test_only_leaves_keep_grad(self):
+        rng = np.random.default_rng(2)
+        x = parameter(rng.normal(size=(2, 2, 5, 5)), name="x")
+        w = parameter(rng.normal(size=(3, 2, 3, 3)), name="w")
+        with Tape():
+            out = conv2d(x, w, pad=1)
+            h = relu(out)
+            loss = tensor_sum(h * h)
+            backward(loss)
+        assert out.grad is None and h.grad is None and loss.grad is None
+        assert x.grad is not None and w.grad is not None
+
+    def test_len_counts_recorded_ops_after_backward(self):
+        x = parameter(np.ones(3), name="x")
+        with Tape() as tape:
+            loss = tensor_sum(relu(x * 2.0))  # mul, relu, sum
+            assert len(tape) == 3
+            backward(loss)
+        assert len(tape) == 3
+
+    def test_backward_frees_column_matrices(self):
+        rng = np.random.default_rng(3)
+        x = Tensor(rng.normal(size=(4, 8, 32, 32)).astype(np.float32))
+        w = parameter(rng.normal(size=(2, 8, 3, 3)), name="w")
+        cols_bytes = (8 * 3 * 3) * (4 * 32 * 32) * 4  # [Cin*kh*kw, B*Ho*Wo] float32
+        tracemalloc.start()
+        try:
+            with Tape() as tape:
+                base = tracemalloc.get_traced_memory()[0]
+                loss = tensor_sum(conv2d(x, w, pad=1))
+                recorded = tracemalloc.get_traced_memory()[0] - base
+                backward(loss)
+                kept = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert len(tape) == 2  # the tape is still referenced
+        assert recorded >= cols_bytes
+        assert kept < cols_bytes // 4
 
     def test_backward_deterministic_bit_identical(self):
         def run(seed):
