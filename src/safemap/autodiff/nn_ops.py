@@ -6,11 +6,11 @@ Layout convention is NCHW throughout: batched image tensors have shape
 conv2d lowers a convolution to GEMMs in one of three ways.
 
 * A recorded conv (see ``_records``) is im2col plus one GEMM over the whole
-  batch (Chellapilla et al. 2006), kept exact so that training stays
-  bit-identical.  ``_im2col`` reads the input channel-major, zero-borders it
-  when padded, and fills ``cols`` ``[K, N]`` (K = Cin*kh*kw, N = B*Ho*Wo)
-  with one copy from a strided view of the bordered input; ``w2 @ cols``
-  (``w2``: the weight as ``[Cout, K]``) is then copied, transposed, into NCHW.
+  batch (Chellapilla et al. 2006), whose ``cols`` its backward reuses.
+  ``_im2col`` reads the input channel-major, zero-borders it when padded,
+  and fills ``cols`` ``[K, N]`` (K = Cin*kh*kw, N = B*Ho*Wo) with one copy
+  from a strided view of the bordered input; ``w2 @ cols`` (``w2``: the
+  weight as ``[Cout, K]``) is then copied, transposed, into NCHW.
 * A tape-free stride-1 conv of more than one sample with ``pad < kh`` and
   ``pad < kw`` lowers as in MEC (Cho & Brand 2017), in ``_conv_flat``: each
   sample block is copied once into a flat buffer of row pitch ``P = W + pad``
@@ -32,15 +32,14 @@ CAMs) runs tape-free.
 The backward, on the recorded path only:
 
 * weight and bias gradients: the upstream gradient as ``g2 = [Cout, N]``
-  gives ``gw = g2 @ cols.T`` and ``gb`` as its row sums;
-* input gradient, stride 1 with ``pad < kh`` and ``pad < kw``: a full
-  correlation of ``g`` with the flipped, channel-transposed weight.
-  ``_im2col`` of ``g`` padded by ``(kh-1-pad, kw-1-pad)`` gives a
-  ``[Cout*kh*kw, B*H*W]`` matrix, and one GEMM maps it to ``[Cin, B, H, W]``.
-  Nothing is scatter-added;
-* input gradient otherwise (the strided convs, or ``pad >= kh`` or
-  ``pad >= kw``): ``gcol = w2.T @ g2``, then col2im as kh*kw strided adds
-  into a ``[Cin, B, Hp, Wp]`` buffer and the crop of the padding.
+  gives ``gw = (cols @ g2.T).T``, the orientation BLAS runs faster for
+  these shapes than ``g2 @ cols.T``, and ``gb`` as its row sums;
+* input gradient: by the transposed-convolution identity (Dumoulin &
+  Visin 2016), a conv2d of ``g``, zero-dilated by the stride and bordered
+  by ``kernel - 1 - pad`` (cropped where that is negative), with the
+  flipped, channel-transposed kernel.  Its inputs need no gradient, so it
+  runs tape-free: in blocks, by the flat lowering when the batch holds
+  more than one sample.  Nothing is scatter-added.
 
 So the numpy call count stays O(kh*kw) whatever the image size.
 
@@ -49,9 +48,9 @@ spreads gradients with products by 0/1 bin matrices; see ``roi_avg_pool``.
 
 The compute dtype follows ``x``: conv2d and linear cast their weight and
 bias to ``x``'s dtype before the GEMMs, and every buffer (padding, the flat
-buffers, ``cols``, col2im, pooled output) is allocated in it.  A float32 batch
-thus runs float32 GEMMs against float64 parameters, whose gradients still
-accumulate into float64 buffers.
+buffers, ``cols``, the dilated gradient, pooled output) is allocated in it.
+A float32 batch thus runs float32 GEMMs against float64 parameters, whose
+gradients still accumulate into float64 buffers.
 """
 
 from __future__ import annotations
@@ -68,6 +67,7 @@ from .tensor import (
     Tensor,
     _accumulate,
     _as_tensor,
+    _leaf,
     _make_op,
     _records,
 )
@@ -104,19 +104,19 @@ def conv_out_size(size: int, kernel: int, stride: int, pad: int) -> int:
     return out
 
 
-def _im2col(xt: np.ndarray, kh: int, kw: int, stride: int, ph: int, pw: int,
+def _im2col(xt: np.ndarray, kh: int, kw: int, stride: int, pad: int,
             Ho: int, Wo: int, out: Optional[np.ndarray] = None) -> np.ndarray:
     """Column matrix ``[C*kh*kw, B*Ho*Wo]`` of a channel-major ``[C, B, H, W]`` array.
 
-    The input is zero-padded by ``ph`` rows and ``pw`` columns on each side;
+    The input is zero-padded by ``pad`` on each side;
     cols[(c, i, j), (b, oy, ox)] = xp[c, b, i + stride*oy, j + stride*ox],
     one copy from a read-only strided view of ``xp``.  ``out``: a flat
     buffer of exactly that size, so its reshape is a view.
     """
     C, B, H, W = xt.shape
-    if ph or pw:
-        xp = np.zeros((C, B, H + 2 * ph, W + 2 * pw), dtype=xt.dtype)
-        xp[:, :, ph:ph + H, pw:pw + W] = xt
+    if pad:
+        xp = np.zeros((C, B, H + 2 * pad, W + 2 * pad), dtype=xt.dtype)
+        xp[:, :, pad:pad + H, pad:pad + W] = xt
     else:
         xp = xt
     cols6 = (np.empty(C * kh * kw * B * Ho * Wo, dtype=xt.dtype) if out is None
@@ -125,18 +125,6 @@ def _im2col(xt: np.ndarray, kh: int, kw: int, stride: int, ph: int, pw: int,
     np.copyto(cols6, as_strided(xp, cols6.shape, (sc, sy, sx, sb, stride * sy, stride * sx),
                                 writeable=False))
     return cols6.reshape(C * kh * kw, B * Ho * Wo)
-
-
-def _col2im(gcol: np.ndarray, x_shape: tuple, kh: int, kw: int, stride: int, pad: int,
-            Ho: int, Wo: int) -> np.ndarray:
-    """Scatter-add ``[Cin*kh*kw, B*Ho*Wo]`` patch gradients back onto an NCHW input."""
-    B, Cin, H, W = x_shape
-    gcol6 = gcol.reshape(Cin, kh, kw, B, Ho, Wo)
-    gxp = np.zeros((Cin, B, H + 2 * pad, W + 2 * pad), dtype=gcol.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            gxp[:, :, i:i + stride * Ho:stride, j:j + stride * Wo:stride] += gcol6[:, i, j]
-    return gxp[:, :, pad:pad + H, pad:pad + W].transpose(1, 0, 2, 3)
 
 
 def _conv_flat(xt: np.ndarray, wi: np.ndarray, p: int, flat: np.ndarray,
@@ -187,10 +175,9 @@ def conv2d(x, weight, bias=None, stride: int = 1, pad: int = 0) -> Tensor:
 
     parents = (x, weight) if b_t is None else (x, weight, b_t)
     records = _records(parents)
-    full_corr = stride == 1 and pad < kh and pad < kw
     # a recorded conv keeps ``cols`` for its backward; one sample's pad columns
     # and extra rows cost the flat path more than its copies save
-    flat = full_corr and not records and B > 1
+    flat = stride == 1 and pad < kh and pad < kw and not records and B > 1
     w_dt = weight.data.astype(dt, copy=False)
     w2 = w_dt.reshape(Cout, K)
     P, S = W + pad, (H + pad) * (W + pad)  # the flat layout's row and image pitch
@@ -211,7 +198,7 @@ def conv2d(x, weight, bias=None, stride: int = 1, pad: int = 0) -> Tensor:
         if flat:
             out2 = _conv_flat(xt, wi, pad, xflat, buf)  # [Cout, nb*S]
         else:
-            cols = _im2col(xt, kh, kw, stride, pad, pad, Ho, Wo, out=buf[:K * nb * Ho * Wo])
+            cols = _im2col(xt, kh, kw, stride, pad, Ho, Wo, out=buf[:K * nb * Ho * Wo])
             out2 = w2 @ cols  # [Cout, nb*Ho*Wo]
         if b_t is not None:
             out2 += b_t.data.astype(dt, copy=False)[:, None]
@@ -222,20 +209,22 @@ def conv2d(x, weight, bias=None, stride: int = 1, pad: int = 0) -> Tensor:
         # g: [B, Cout, Ho, Wo] -> g2: [Cout, N], matching the column order of cols
         g2 = g.transpose(1, 0, 2, 3).reshape(Cout, N)
         if weight.requires_grad:
-            _accumulate(weight, (g2 @ cols.T).reshape(weight.shape))
+            _accumulate(weight, (cols @ g2.T).T.reshape(weight.shape))
         if b_t is not None and b_t.requires_grad:
             _accumulate(b_t, g2.sum(axis=1))
         if not x.requires_grad:
             return
-        if full_corr:
-            # full correlation of g with the flipped, channel-transposed weight
-            wf = w2.reshape(Cout, Cin, kh, kw).transpose(1, 0, 2, 3)[:, :, ::-1, ::-1]
-            gcols = _im2col(g2.reshape(Cout, B, Ho, Wo), kh, kw, 1,
-                            kh - 1 - pad, kw - 1 - pad, H, W)
-            gx = (wf.reshape(Cin, Cout * kh * kw) @ gcols).reshape(Cin, B, H, W)
-            _accumulate(x, gx.transpose(1, 0, 2, 3))
-        else:
-            _accumulate(x, _col2im(w2.T @ g2, x.shape, kh, kw, stride, pad, Ho, Wo))
+        # a tape-free conv of g by the flipped, channel-transposed kernel
+        wf = _leaf(w_dt.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1], False, None)
+        qh, qw = kh - 1 - pad, kw - 1 - pad
+        if stride == 1 and qh == qw >= 0:  # the border is conv2d's own padding
+            gx = conv2d(_leaf(g, False, None), wf, pad=qh)
+        else:  # g zero-dilated and bordered, cropped by ch, cw where the border is negative
+            ch, cw = max(-qh, 0), max(-qw, 0)
+            gd = np.zeros((B, Cout, H + kh - 1 + 2 * ch, W + kw - 1 + 2 * cw), dtype=g.dtype)
+            gd[:, :, ch + qh::stride, cw + qw::stride][:, :, :Ho, :Wo] = g
+            gx = conv2d(_leaf(gd[:, :, ch:ch + H + kh - 1, cw:cw + W + kw - 1], False, None), wf)
+        _accumulate(x, gx.data)
 
     return _make_op(out_data, parents, bwd, "conv2d")
 

@@ -106,7 +106,7 @@ EXIT_DATA = 2
 
 DATA_ERRORS = (IngestError, GridError, LabelingError, ManifestError, SynthError,
                TrainError, AdaptError, ConfigError, CamError, ExportError,
-               MetricsError, TensorError, PpmError, OSError)
+               MetricsError, TensorError, PpmError, OSError, MemoryError)
 
 
 class _Parser(argparse.ArgumentParser):

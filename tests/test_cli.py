@@ -35,6 +35,7 @@ from safemap.model.network import init_params
 from safemap.model.training import evaluate, load_split
 from safemap.runconfig import PathsSection, RunConfig
 
+from artifacts import load_metrics_csv
 from oracles import kmeans2_best_split
 
 SMALL_MODEL = {"stage_widths": [4, 6, 8, 10], "local_widths": [6, 6], "d": 8,
@@ -47,6 +48,12 @@ A1,03/01/2019,08:30,4,51.5000,-0.1200,2,1
 A2,04/01/2019,17:45,5,51.5001,-0.1201,1,1
 A3,05/01/2019,12:00,6,51.5008,-0.1195,3,2
 """
+
+
+# under overcommit mode 1 the kernel grants an allocation of any size, and the
+# process is killed when it fills it, in place of the allocation failing
+_OVERCOMMIT = Path("/proc/sys/vm/overcommit_memory")
+OVERCOMMIT_ALWAYS = _OVERCOMMIT.exists() and _OVERCOMMIT.read_text().strip() == "1"
 
 
 def write_config(path, doc):
@@ -773,6 +780,27 @@ class TestTraining:
         assert err.splitlines() == [f"safemap: error: tile {odd.image} is 60x64, but "
                                     f"{first.image} is 64x64"]
 
+    @pytest.mark.skipif(OVERCOMMIT_ALWAYS, reason="the kernel grants any allocation, "
+                        "so an oversized run would be killed, not refused")
+    @pytest.mark.parametrize("sub,section,doc", [
+        # a [100000, 100000, 3, 3] float64 weight: 671 GiB
+        ("train", "model", dict(SMALL_MODEL, stage_widths=[8, 16, 32, 100000])),
+        # a 100000 x 100000 x 3 float64 tile: 224 GiB
+        ("synth", "synth", {"n_per_class": 1, "image_hw": [100000, 100000]}),
+    ])
+    def test_allocation_past_ram_is_data_error(self, synth_run, tmp_path, capsys, sub,
+                                               section, doc):
+        # used to end in a MemoryError traceback
+        run = tmp_path / "run"
+        cfg = write_config(tmp_path / "c.json", {
+            section: doc,
+            "paths": {"run_dir": str(run), "manifest": str(synth_run / "manifest.jsonl"),
+                      "image_root": str(synth_run)}})
+        assert main([sub, "--config", cfg]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("safemap: error: Unable to allocate")
+        assert_no_orphans(run)
+
     def test_failed_run_declares_no_missing_file(self, synth_run, tmp_path, capsys):
         # map-export asks for its output paths, then fails on a cell past the
         # 23x1 grid before writing them
@@ -940,3 +968,36 @@ def test_cli_process_keeps_freed_arrays():
     out = subprocess.run([sys.executable, "-c", KEPT_HEAP_PROBE], env=env, check=True,
                          capture_output=True, text=True)
     assert int(out.stdout) < 64
+
+
+def test_each_blas_thread_count_reproduces_its_own_checkpoint(tmp_path):
+    """The bit-identity claim holds at one BLAS thread count, not across counts.
+
+    OpenBLAS splits a GEMM's sums by thread, so a tiny default-model ``train``
+    (8 tiles per class, one epoch, batch 4) is run twice at 1 thread and twice
+    at 2, each in its own process.  Each count must reproduce its own
+    checkpoint bytes.  Across counts the checkpoints can differ, and the epoch-0
+    train loss agrees to 1e-5 relative, about 170 float32 roundings (the gap
+    was 5.4e-8 relative on a 2-vCPU x86-64 VM).
+    """
+    synth = write_config(tmp_path / "s.json", {"synth": {"n_per_class": 8, "seed": 5},
+                                               "paths": {"run_dir": str(tmp_path)}})
+    assert main(["synth", "--config", synth]) == EXIT_OK
+    src = str(Path(safemap.__file__).parents[1])
+    ckpts, losses = {}, {}
+    for threads in ("1", "2", "1", "2"):
+        run = tmp_path / f"t{threads}_{len(ckpts.get(threads, []))}"
+        cfg = write_config(tmp_path / "t.json", {
+            "train": {"epochs": 1, "seed": 0},
+            "paths": {"run_dir": str(run), "manifest": str(tmp_path / "synth/manifest.jsonl"),
+                      "image_root": str(tmp_path / "synth")}})
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        subprocess.run([sys.executable, "-m", "safemap.cli", "train", "--config", cfg],
+                       env=env, check=True, capture_output=True)
+        ckpts.setdefault(threads, []).append((run / "checkpoint.ckpt").read_bytes())
+        rows = load_metrics_csv(run / "metrics.csv")
+        losses[threads] = next(r.loss for r in rows if r.epoch == 0 and r.split == "train")
+    assert ckpts["1"][0] == ckpts["1"][1]
+    assert ckpts["2"][0] == ckpts["2"][1]
+    assert losses["1"] == pytest.approx(losses["2"], rel=1e-5)

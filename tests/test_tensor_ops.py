@@ -98,7 +98,15 @@ def _conv_backward(x, w, b, stride, pad, seed):
 
 
 class TestConv2dBackward:
-    """Gradients of the im2col/GEMM conv against the plain-loop oracle."""
+    """Gradients of the recorded conv against the plain-loop oracle.
+
+    The weight gradient is one GEMM against the forward's ``cols``; the
+    input gradient is a tape-free conv2d of the upstream gradient,
+    zero-dilated by the stride, with the flipped kernel.  The grid's
+    strides and pads reach its every border: padded at stride 1, dilated
+    at stride 2 and 3, and cropped where pad >= kernel (a 1x1 kernel at
+    pad 1 or 2, a 2x3 kernel at pad 2).
+    """
 
     @pytest.mark.parametrize("batch", [1, 3])
     @pytest.mark.parametrize("kernel", [(1, 1), (3, 3), (2, 3)])
@@ -118,28 +126,6 @@ class TestConv2dBackward:
         assert out.data.flags.c_contiguous
         np.testing.assert_allclose(out.data, conv2d_naive(x.data, w.data, b.data, stride, pad),
                                    rtol=0, atol=1e-12)
-
-    def test_grid_runs_both_input_gradient_paths(self, monkeypatch):
-        """The oracle grid above covers the stride-1 full correlation and col2im.
-
-        col2im runs exactly for strided convs and for pad >= kernel (a 1x1
-        kernel at pad 1 or 2, a 2x3 kernel at pad 2).
-        """
-        grid = {m.args[0]: m.args[1] for m in self.test_matches_naive_oracle.pytestmark}
-        real_col2im = nn_ops._col2im
-        calls = []
-        monkeypatch.setattr(nn_ops, "_col2im",
-                            lambda *args: calls.append(args) or real_col2im(*args))
-        seen = set()
-        for stride, pad, kernel in itertools.product(grid["stride"], grid["pad"],
-                                                     grid["kernel"]):
-            calls.clear()
-            x = parameter(np.ones((1, 2, 7, 9)), name="x")
-            w = parameter(np.ones((3, 2) + kernel), name="w")
-            _conv_backward(x, w, None, stride, pad, seed=0)
-            seen.add((stride == 1, pad < min(kernel), bool(calls)))
-        assert seen == {(True, True, False), (True, False, True),
-                        (False, True, True), (False, False, True)}
 
     @pytest.mark.parametrize("stride,pad", [(1, 1), (2, 0)])
     def test_input_without_grad(self, stride, pad):
@@ -248,9 +234,31 @@ class TestConv2dBlocks:
     def test_im2col_fills_the_given_buffer(self):
         xt = np.random.default_rng(0).normal(size=(2, 3, 5, 6))
         buf = np.empty(2 * 3 * 3 * 3 * 3 * 4)
-        cols = nn_ops._im2col(xt, 3, 3, 1, 0, 0, 3, 4, out=buf)
+        cols = nn_ops._im2col(xt, 3, 3, 1, 0, 3, 4, out=buf)
         assert np.shares_memory(cols, buf)
-        np.testing.assert_array_equal(cols, nn_ops._im2col(xt, 3, 3, 1, 0, 0, 3, 4))
+        np.testing.assert_array_equal(cols, nn_ops._im2col(xt, 3, 3, 1, 0, 3, 4))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_input_gradient_conv_runs_in_blocks(self, monkeypatch, dtype, stride):
+        # the recorded forward (im2col) is one block; the input gradient's
+        # tape-free conv takes the flat path, over g bordered by 1 at stride 1
+        # ([5, 4, 9, 8] at pad 1) and over g dilated and bordered at stride 2
+        # ([5, 4, 11, 10] at pad 0), in blocks of 2, 2 and 1
+        rng = np.random.default_rng([stride, 7])
+        x = Tensor(rng.normal(size=(5, 3, 9, 8)).astype(dtype), requires_grad=True)
+        w = parameter(rng.normal(size=(4, 3, 3, 3)).astype(dtype).astype(np.float64), name="w")
+        monkeypatch.setattr(nn_ops, "CHUNK_BYTES", 2 * 4 * 3 * 11 * 10 * x.data.itemsize)
+        calls = _count_blocks(monkeypatch, "_conv_flat")
+        _, g = _conv_backward(x, w, None, stride, 1, seed=6)
+        assert calls == [2, 2, 1]
+        g = g.astype(dtype).astype(np.float64)  # the upstream gradient conv2d saw
+        gx, _, _ = conv2d_backward_naive(x.data.astype(np.float64), w.data, g, stride, 1)
+        assert x.grad.dtype == dtype
+        if dtype == np.float64:
+            np.testing.assert_allclose(x.grad, gx, rtol=0, atol=1e-12)
+        else:
+            _close32(x.grad, gx)
 
     @pytest.mark.parametrize("stride,pad", [(1, 1), (2, 0)])
     def test_recorded_conv_runs_one_block(self, monkeypatch, stride, pad):
