@@ -338,7 +338,7 @@ def global_avg_pool(x) -> Tensor:
     out_data = x.data.mean(axis=(2, 3))
 
     def bwd(g):
-        _accumulate(x, np.broadcast_to((g / (H * W))[:, :, None, None], x.shape).copy())
+        _accumulate(x, np.broadcast_to((g / (H * W))[:, :, None, None], x.shape))
 
     return _make_op(out_data, (x,), bwd, "global_avg_pool")
 

@@ -334,14 +334,9 @@ def tensor_sum(a, axis=None, keepdims: bool = False) -> Tensor:
     out_data = a.data.sum(axis=axis, keepdims=keepdims)
 
     def bwd(g):
-        if axis is None:
-            _accumulate(a, np.broadcast_to(g, a.shape).copy() if np.ndim(g) == 0
-                        else np.full(a.shape, g.reshape(())))
-            return
-        gg = g
-        if not keepdims:
-            gg = np.expand_dims(gg, axis)
-        _accumulate(a, np.broadcast_to(gg, a.shape).copy())
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        _accumulate(a, np.broadcast_to(g, a.shape))
 
     return _make_op(np.asarray(out_data), (a,), bwd, "sum")
 

@@ -5,7 +5,7 @@ optional ``--seed`` override and maps onto one module operation:
 
     ingest        accident CSV -> records.jsonl
     grid          accident CSV -> grid.json + scores.csv
-    label         scores.csv -> labels.csv (2-means binning)
+    label         scores.csv -> labels.csv (exact 2-means split scan, Fisher 1958; ties safe)
     balance       dataset manifest -> class-balanced manifest
     synth         synthetic labeled image set
     train         manifest + images -> checkpoint + metrics.csv
@@ -270,13 +270,6 @@ def _load_params(cfg: RunConfig):
     return params, meta
 
 
-def _maybe_split(manifest, root, split):
-    try:
-        return load_split(manifest, root, split)
-    except TrainError:
-        return None
-
-
 def _save_train_outputs(cfg: RunConfig, run: RunDir, result) -> None:
     save_checkpoint(run.path("checkpoint.ckpt"), result.params.all(),
                     {"model": cfg.model.to_dict()})
@@ -292,7 +285,7 @@ def cmd_train(cfg: RunConfig, run: RunDir) -> None:
     manifest = load_manifest(_require(cfg.paths.manifest, "manifest"))
     root = _require(cfg.paths.image_root, "image_root")
     train_set = load_split(manifest, root, "train")
-    val_set = _maybe_split(manifest, root, "val")
+    val_set = load_split(manifest, root, "val") if manifest.subset("val") else None
     result = train_dam(train_set, val_set, cfg.model, cfg.train, log=_progress)
     _save_train_outputs(cfg, run, result)
 

@@ -1,10 +1,9 @@
-"""Two-cluster 1-D k-means over cell safety scores.
+"""Two-cluster 1-D k-means over cell safety scores, solved exactly.
 
-Lloyd iterations with centroids initialized at the score minimum and
-maximum, followed by an exhaustive interval-split polish that guarantees
-the returned partition is the global 2-means optimum (Lloyd alone can
-stall in a local optimum on heavy-tailed distributions).  The cluster
-whose centroid is higher is the dangerous one.
+Every optimal 1-D 2-means partition is an interval split of the sorted
+scores (Fisher 1958, "On Grouping for Maximum Homogeneity"), so one scan of
+the SSE of every split between distinct values finds the global optimum.
+The cluster whose centroid is higher is the dangerous one.
 """
 
 from __future__ import annotations
@@ -13,9 +12,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-
-# Lloyd iterations before the exhaustive polish takes over
-MAX_ITERATIONS = 100
 
 
 class LabelingError(Exception):
@@ -32,12 +28,16 @@ class BinResult:
 
 
 def kmeans_bin(scores) -> BinResult:
-    """Bin scores into safe/dangerous clusters.
+    """Bin scores into safe/dangerous clusters by the SSE-minimal split.
 
-    Ties in point assignment go to the lower centroid.  All-identical
-    scores are a degenerate distribution: everything is labeled safe and a
-    warning is emitted.  Scores whose means, sums or squares leave float64's
-    finite range raise ``LabelingError``.
+    One scan scores every split of the sorted scores between distinct
+    values, which is exact because an optimal 1-D 2-means partition is an
+    interval split (Fisher 1958).  Among splits of equal SSE, up to float64
+    rounding, the highest threshold wins, so ties go to the lower centroid.
+    All-identical scores are a degenerate distribution: everything is
+    labeled safe and a warning is emitted.  NaN or infinite scores, and
+    scores whose means, sums or squares leave float64's finite range, raise
+    ``LabelingError``.
     """
     try:
         s = np.asarray(scores, dtype=np.float64)
@@ -45,6 +45,8 @@ def kmeans_bin(scores) -> BinResult:
         raise LabelingError(f"scores must fit in a float64: {e}") from e
     if s.ndim != 1 or s.size == 0:
         raise LabelingError("scores must be a non-empty 1-D collection")
+    if not np.isfinite(s).all():
+        raise LabelingError("scores must be finite")
     lo, hi = float(s.min()), float(s.max())
     if lo == hi:
         warnings.warn("all safety scores identical; labeling every cell safe",
@@ -53,57 +55,20 @@ def kmeans_bin(scores) -> BinResult:
                          centroids=(lo, hi), degenerate=True)
     try:
         with np.errstate(over="raise"):
-            assign, centroids = _two_means(s, lo, hi)
+            xs = np.sort(s)
+            # SSE is shift-invariant; centering keeps the prefix sums small
+            c = xs - xs.mean()
+            csum = np.cumsum(c)
+            total_sq = (c * c).sum()
+            # k = size of the lower cluster, for each split between distinct values
+            k = np.flatnonzero(xs[1:] != xs[:-1]) + 1
+            low = csum[k - 1]
+            sse = total_sq - low ** 2 / k - (csum[-1] - low) ** 2 / (xs.size - k)
+            # exactly tied splits can round an ulp apart, so SSEs within 1e-12
+            # of the total sum of squares tie; the highest tied threshold wins
+            split = k[np.flatnonzero(sse <= sse.min() + 1e-12 * total_sq)[-1]]
+            assign = (s >= xs[split]).astype(np.int64)
+            centroids = (float(s[assign == 0].mean()), float(s[assign == 1].mean()))
     except FloatingPointError as e:  # a mean, sum or square past float64's range
         raise LabelingError(f"scores too large to cluster: {e}") from e
     return BinResult(assignments=assign, centroids=centroids)
-
-
-def _two_means(s: np.ndarray, lo: float, hi: float) -> tuple[np.ndarray, tuple[float, float]]:
-    """Lloyd from the (lo, hi) init, then the interval-split polish."""
-    c_low, c_high = lo, hi
-    assign: np.ndarray | None = None
-    for _ in range(MAX_ITERATIONS):
-        # tie (equidistant point) goes to the lower centroid
-        new_assign = (np.abs(s - c_high) < np.abs(s - c_low)).astype(np.int64)
-        if assign is not None and np.array_equal(new_assign, assign):
-            break
-        assign = new_assign
-        # min/max init keeps both clusters non-empty: the extreme points
-        # never cross the centroid midpoint
-        c_low = float(s[assign == 0].mean())
-        c_high = float(s[assign == 1].mean())
-
-    # Lloyd from the extreme-point init always converges to an interval
-    # split, but on heavy-tailed score distributions that split can be a
-    # local optimum. The binning contract requires the global 2-means
-    # optimum, so polish with an exhaustive threshold scan (every optimal
-    # 1-D 2-means partition is an interval split).
-    xs = np.sort(s)
-    csum = np.cumsum(xs)
-    csq = np.cumsum(xs * xs)
-    n = xs.size
-    lloyd_sse = _sse(s, assign)
-    best_sse, best_thr = lloyd_sse, None
-    for k in range(1, n):
-        if xs[k - 1] == xs[k]:
-            continue
-        sse_low = csq[k - 1] - csum[k - 1] ** 2 / k
-        sse_high = (csq[-1] - csq[k - 1]) - (csum[-1] - csum[k - 1]) ** 2 / (n - k)
-        sse = sse_low + sse_high
-        if sse < best_sse - 1e-9 * max(1.0, abs(best_sse)):
-            best_sse, best_thr = sse, float(xs[k])
-    if best_thr is not None:
-        assign = (s >= best_thr).astype(np.int64)
-        c_low = float(s[assign == 0].mean())
-        c_high = float(s[assign == 1].mean())
-    return assign, (c_low, c_high)
-
-
-def _sse(s: np.ndarray, assign: np.ndarray) -> float:
-    total = 0.0
-    for k in (0, 1):
-        vals = s[assign == k]
-        if vals.size:
-            total += float(((vals - vals.mean()) ** 2).sum())
-    return total

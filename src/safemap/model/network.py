@@ -66,9 +66,6 @@ class DamParams:
     def __getitem__(self, name: str) -> Tensor:
         return self._params[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
-
     def all(self) -> list[Tensor]:
         return list(self._params.values())
 

@@ -780,6 +780,21 @@ class TestTraining:
         assert err.splitlines() == [f"safemap: error: tile {odd.image} is 60x64, but "
                                     f"{first.image} is 64x64"]
 
+    def test_bad_val_split_is_data_error(self, synth_run, tmp_path, capsys):
+        # a val split that fails to load fails the run; train must not go on without it
+        tiles = tmp_path / "tiles"
+        shutil.copytree(synth_run, tiles)
+        first, *_, odd = load_manifest(tiles / "manifest.jsonl").subset("val")
+        write_ppm(tiles / odd.image, read_ppm(tiles / odd.image)[:32, :32])
+        run = tmp_path / "t"
+        cfg = self.train_config(tmp_path, run, tiles)
+        assert main(["train", "--config", cfg]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.splitlines() == [f"safemap: error: tile {odd.image} is 32x32, but "
+                                    f"{first.image} is 64x64"]
+        assert (run / "run_manifest.json").exists()
+        assert_no_orphans(run)
+
     @pytest.mark.skipif(OVERCOMMIT_ALWAYS, reason="the kernel grants any allocation, "
                         "so an oversized run would be killed, not refused")
     @pytest.mark.parametrize("sub,section,doc", [

@@ -1,4 +1,10 @@
-"""k-means binning against the exhaustive optimal-split oracle."""
+"""The exact 2-means scan against the exhaustive optimal-split oracle.
+
+``kmeans_bin`` scores every split of the sorted scores between distinct
+values, which finds the global optimum because every optimal 1-D 2-means
+partition is an interval split (Fisher 1958).  Among tied splits the highest
+threshold wins, so ties go to the lower centroid.
+"""
 
 import numpy as np
 import pytest
@@ -80,16 +86,54 @@ def test_empty_scores_rejected():
         kmeans_bin([])
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_scores_rejected(bad):
+    with pytest.raises(LabelingError, match="finite"):
+        kmeans_bin([0, bad, 5])
+
+
 def test_assignment_order_follows_input_order():
     result = kmeans_bin([9, 0, 10, 1, 0])
     np.testing.assert_array_equal(result.assignments, [1, 0, 1, 0, 0])
 
 
 @pytest.mark.parametrize("scores", [
-    [0, 10**308, 10**308, 5],  # the cluster mean overflows
-    [-1e308, 1e308],           # the distance to a centroid overflows
-    [0.0, 1e160, 2e160],       # the polish's sum of squares overflows
+    [0, 10**308, 10**308, 5],  # the mean overflows
+    [-1e308, 1e308],           # a centered square overflows
+    [0.0, 1e160, 2e160],       # the sum of squares overflows
 ])
 def test_sums_past_float_range_rejected(scores):
     with pytest.raises(LabelingError, match="scores too large to cluster"):
         kmeans_bin(scores)
+
+
+@pytest.mark.parametrize("scores,expected", [
+    ([0, 1, 2], [0, 0, 1]),  # both splits have SSE 0.5
+    # both splits have SSE 1.2, but their float SSEs round an ulp apart
+    ([0, 0, 1, 1, 1, 2, 2], [0, 0, 0, 0, 0, 1, 1]),
+])
+def test_tied_splits_take_the_highest_threshold(scores, expected):
+    np.testing.assert_array_equal(kmeans_bin(scores).assignments, expected)
+
+
+def test_large_offset_real_scores_match_oracle_sse():
+    # centering keeps the split SSEs accurate when a large offset dwarfs the spread
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        scores = 1e8 + rng.poisson(rng.uniform(0.5, 3.0), size=60) + 0.5
+        scores[:12] += rng.poisson(rng.uniform(10.0, 40.0), size=12)
+        result = kmeans_bin(scores)
+        best_sse, _ = kmeans2_best_split(scores.tolist())
+        assert sse_of_partition(scores, result.assignments) == pytest.approx(best_sse,
+                                                                            rel=1e-9)
+
+
+def test_permuting_scores_permutes_assignments():
+    rng = np.random.default_rng(3)
+    scores = np.concatenate([rng.poisson(1.0, size=80), rng.poisson(12.0, size=20)])
+    base = kmeans_bin(scores)
+    for _ in range(10):
+        perm = rng.permutation(scores.size)
+        result = kmeans_bin(scores[perm])
+        np.testing.assert_array_equal(result.assignments, base.assignments[perm])
+        assert result.centroids == pytest.approx(base.centroids, rel=1e-12)

@@ -163,7 +163,7 @@ class TestForward:
     def test_backbone_only_mode(self):
         cfg = toy_config((), use_local=False)
         params = init_params(cfg, seed=0)
-        assert "local.conv1.weight" not in params
+        assert "local.conv1.weight" not in {p.name for p in params.all()}
         x = Tensor(np.random.default_rng(4).normal(size=(2, 3, 24, 24)))
         trace = forward(x, params, cfg)
         assert trace.cam_map.shape[1] == cfg.stage_widths[3]
@@ -173,7 +173,7 @@ class TestForward:
         cfg = toy_config((scheme("SQ", 4),), da_mode=True,
                          da_reduce_widths=(5, 4), da_local_widths=(2, 3))
         params = init_params(cfg, seed=0)
-        assert "da.reduce1.weight" in params
+        assert "da.reduce1.weight" in {p.name for p in params.all()}
         x = Tensor(np.random.default_rng(5).normal(size=(1, 3, 24, 24)))
         trace = forward(x, params, cfg)
         assert trace.cam_map.shape[1] == 4
