@@ -43,8 +43,9 @@ The backward, on the recorded path only:
 
 So the numpy call count stays O(kh*kw) whatever the image size.
 
-ROI pooling (and adaptive pooling, its full-map case) sums bins and
-spreads gradients with products by 0/1 bin matrices; see ``roi_avg_pool``.
+ROI pooling, the one bin-pooling op (a full-map ``Rect`` gives adaptive
+pooling), sums bins and spreads gradients with products by 0/1 bin
+matrices; see ``roi_avg_pool``.  ``global_avg_pool`` is the spatial mean.
 
 The compute dtype follows ``x``: conv2d and linear cast their weight and
 bias to ``x``'s dtype before the GEMMs, and every buffer (padding, the flat
@@ -266,14 +267,6 @@ def _check_bins(length: int, out: int, what: str) -> None:
         raise ShapeError(f"{what}: output size must be positive, got {out}")
     if length < out:
         raise ShapeError(f"{what}: cannot pool extent {length} down to {out} bins without empty bins")
-
-
-def adaptive_avg_pool(x, out_hw: tuple) -> Tensor:
-    """Average-pool [B,C,H,W] to [B,C,oh,ow] with proportional-rounding bins."""
-    x = _as_tensor(x)
-    if x.data.ndim != 4:
-        raise ShapeError(f"adaptive_avg_pool expects 4-D input, got {x.shape}")
-    return roi_avg_pool(x, Rect(0, x.shape[2], 0, x.shape[3]), out_hw)
 
 
 def _bin_matrix(edges: np.ndarray, dtype) -> np.ndarray:

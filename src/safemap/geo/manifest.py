@@ -133,6 +133,12 @@ def load_manifest(path) -> DatasetManifest:
                            entries=entries)
 
 
+def check_split_fractions(fractions: tuple[float, float, float], error=ManifestError) -> None:
+    """Raise ``error`` unless the (train, val, test) fractions are non-negative and sum to 1."""
+    if not (all(f >= 0 for f in fractions) and abs(sum(fractions) - 1.0) <= 1e-9):
+        raise error(f"split_fractions must be non-negative and sum to 1, got {fractions}")
+
+
 def assign_splits(entries: Iterable[ManifestEntry], fractions: tuple[float, float, float],
                   seed: int) -> list[ManifestEntry]:
     """Reassign splits by a seeded shuffle honoring (train, val, test) fractions.
@@ -141,8 +147,7 @@ def assign_splits(entries: Iterable[ManifestEntry], fractions: tuple[float, floa
     stated rates; entry order is preserved in the output.
     """
     entries = list(entries)
-    if abs(sum(fractions) - 1.0) > 1e-9 or any(f < 0 for f in fractions):
-        raise ManifestError(f"split fractions must be non-negative and sum to 1, got {fractions}")
+    check_split_fractions(fractions)
     rng = np.random.default_rng(seed)
     new_split: dict[int, str] = {}
     for label in (SAFE, DANGEROUS):

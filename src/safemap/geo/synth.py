@@ -28,6 +28,7 @@ import numpy as np
 from ..fileio import atomic_open
 from ..jsoncodec import dumps, to_json
 from .manifest import DatasetManifest, ManifestEntry, assign_splits, save_manifest
+from .manifest import check_split_fractions
 from .ppm import write_ppm
 
 GENERATOR_TAG = "synth-v10"
@@ -166,6 +167,7 @@ def synth_generate(out_dir, n_per_class: int, image_hw: tuple[int, int] = (64, 6
         raise SynthError(f"jitter_px must lie in [0, {min(h, w) / 2}), got {jitter_px}")
     if domain_style not in ("source", "target"):
         raise SynthError(f"domain_style must be source or target, got {domain_style!r}")
+    check_split_fractions(split_fractions, SynthError)
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

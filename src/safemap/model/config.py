@@ -4,9 +4,9 @@ The backbone is a four-stage toy residual network standing in for a full
 pretrained backbone: each stage is a downsampling conv followed by one
 identity-skip residual block.  Defaults are sized so CPU training stays in
 the minutes range while preserving the topology the attention mechanism
-needs: the stage-2 map is large enough to partition into subregions with
-7x7 ROI pooling, and the stage-4 map matches the local branch's pooled
-output so the two concatenate cleanly.
+needs: every subregion of the stage-2 map is ROI-pooled to the stage-4
+map's spatial size, so the local branch's output concatenates onto the
+stage-4 map, and each subregion must therefore be at least that size.
 
 The stage geometry is fixed rather than configured: the downsampling
 convs use ``STAGE_STRIDES`` = (2, 1, 2, 2) and ``STAGE_PADS`` =
@@ -40,12 +40,12 @@ class SubregionScheme:
 
     HS: N full-width horizontal strips; VS: N full-height vertical strips;
     SQ: an r x r grid of blocks with r*r = N.  Every region is ROI-pooled
-    to ``pooled`` before entering the local network.
+    to the stage-4 map's spatial size before entering the local network, so
+    it must be at least that size.
     """
 
     kind: str
     count: int = 4
-    pooled: tuple[int, int] = (7, 7)
 
     def __post_init__(self):
         if self.kind not in SCHEME_KINDS:
@@ -56,8 +56,6 @@ class SubregionScheme:
             r = math.isqrt(self.count)
             if r * r != self.count:
                 raise ConfigError(f"SQ scheme count must be a perfect square, got {self.count}")
-        if self.pooled[0] < 1 or self.pooled[1] < 1:
-            raise ConfigError(f"pooled size must be positive, got {self.pooled}")
 
 
 def default_schemes() -> tuple[SubregionScheme, ...]:
@@ -93,9 +91,10 @@ class DamConfig:
             raise ConfigError("backbone is fixed at 4 stages")
         if self.use_local and not self.schemes:
             raise ConfigError("at least one subregion scheme is required")
-        if len({s.pooled for s in self.schemes}) > 1:
-            raise ConfigError("all schemes must share one pooled size "
-                              "(local maps are fused through a single branch)")
+        kinds = [s.kind for s in self.schemes]
+        dup = next((k for i, k in enumerate(kinds) if k in kinds[:i]), None)
+        if dup is not None:
+            raise ConfigError(f"duplicate scheme kind {dup}")
 
     @property
     def active_local_widths(self) -> tuple[int, int]:

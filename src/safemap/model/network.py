@@ -2,11 +2,12 @@
 
 Forward pass (use_local=True):
   image -> stage1 -> stage2 (shared map) -> stage3 -> stage4
-  shared map -> partition into subregions -> per-region: ROI pool to 7x7 ->
-    local conv1 -> relu -> local conv2 -> relu -> GAP -> local fc -> softmax
+  shared map -> partition into subregions -> per-region: ROI pool to the
+    stage-4 spatial size -> local conv1 -> relu -> local conv2 -> relu -> GAP
+    -> local fc -> softmax
   the subregion with the highest class probability wins (hard argmax, one
-  winner per sample); its local conv2 map is pooled to the stage-4 spatial
-  size and channel-concatenated onto the stage-4 output
+  winner per sample); its local conv2 map, already at the stage-4 size, is
+  channel-concatenated onto the stage-4 output
   [da_mode: two 1x1 reduction convs follow the fusion]
   -> GAP -> fc (d-dim feature) -> classifier (K logits)
 
@@ -34,7 +35,6 @@ import numpy as np
 from ..autodiff import (
     Rect,
     Tensor,
-    adaptive_avg_pool,
     channel_concat,
     conv2d,
     global_avg_pool,
@@ -143,10 +143,6 @@ def partition_regions(map_hw: tuple[int, int],
     exactly.
     """
     h, w = map_hw
-    kinds = [s.kind for s in schemes]
-    dup = next((k for i, k in enumerate(kinds) if k in kinds[:i]), None)
-    if dup is not None:
-        raise ConfigError(f"duplicate scheme kind {dup}")
     out: list[tuple[Rect, str]] = []
     for s in sorted(schemes, key=lambda s: SCHEME_KINDS.index(s.kind)):
         r = math.isqrt(s.count)
@@ -166,14 +162,14 @@ def partition_regions(map_hw: tuple[int, int],
     return out
 
 
-def local_forward(shared_map: Tensor, rect: Rect, pooled: tuple[int, int],
+def local_forward(shared_map: Tensor, rect: Rect, out_hw: tuple[int, int],
                   params: DamParams) -> tuple[np.ndarray, Tensor]:
-    """Run one subregion through the local network.
+    """Run one subregion, ROI-pooled to ``out_hw``, through the local network.
 
     Returns (class probabilities [B,K] as a plain array, local conv2 map
-    [B,C,ph,pw] as a tensor retained for fusion).
+    [B,C,*out_hw] as a tensor retained for fusion).
     """
-    x = roi_avg_pool(shared_map, rect, pooled)
+    x = roi_avg_pool(shared_map, rect, out_hw)
     h = relu(conv2d(x, params["local.conv1.weight"], params["local.conv1.bias"],
                     stride=1, pad=1))
     m = relu(conv2d(h, params["local.conv2.weight"], params["local.conv2.bias"],
@@ -222,18 +218,10 @@ def forward(images: Tensor, params: DamParams, config: DamConfig) -> ForwardTrac
     if config.use_local:
         regions = partition_regions(shared.shape[2:], config.schemes)
         tags = [t for _, t in regions]
-        pooled = config.schemes[0].pooled
-        probs_list = []
-        maps_list = []
-        for rect, _ in regions:
-            p, m = local_forward(shared, rect, pooled, params)
-            probs_list.append(p)
-            maps_list.append(m)
-        region_probs = np.stack(probs_list, axis=1)  # [B, R, K]
+        local = [local_forward(shared, rect, conv4.shape[2:], params) for rect, _ in regions]
+        region_probs = np.stack([p for p, _ in local], axis=1)  # [B, R, K]
         selected = select_region(region_probs)
-        chosen = select_stack(maps_list, selected)
-        chosen = adaptive_avg_pool(chosen, conv4.shape[2:])
-        fused = channel_concat([conv4, chosen])
+        fused = channel_concat([conv4, select_stack([m for _, m in local], selected)])
     else:
         fused = conv4
 

@@ -31,6 +31,7 @@ from dataclasses import dataclass, replace
 from typing import Literal, Optional
 
 from .adapt.training import DaTrainConfig
+from .geo.manifest import DANGEROUS, SAFE, check_split_fractions
 from .jsoncodec import JsonError, from_json, to_json
 from .model.config import DamConfig
 from .model.training import TrainConfig
@@ -53,6 +54,9 @@ class PipelineSection:
     seed: int = 0
 
     def __post_init__(self):
+        if not self.cell_size_m > 0:
+            raise RunConfigError(f"cell_size_m must be positive, got {self.cell_size_m}")
+        check_split_fractions(self.split_fractions, RunConfigError)
         _check_seed(self.seed)
 
 
@@ -81,6 +85,11 @@ class EvalSection:
 @dataclass(frozen=True)
 class CamSection:
     class_index: int = 1  # dangerous
+
+    def __post_init__(self):
+        if self.class_index not in (SAFE, DANGEROUS):
+            raise RunConfigError(f"class_index must be 0 (safe) or 1 (dangerous), "
+                                 f"got {self.class_index}")
 
 
 @dataclass(frozen=True)

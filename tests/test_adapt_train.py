@@ -24,10 +24,10 @@ from safemap.model.training import (
 
 SMALL = DamConfig(input_hw=(64, 64), stage_widths=(4, 6, 8, 10),
                   local_widths=(6, 6), d=8,
-                  schemes=(SubregionScheme("SQ", 4, (7, 7)),))
+                  schemes=(SubregionScheme("SQ", 4),))
 SMALL_DA = DamConfig(input_hw=(64, 64), stage_widths=(4, 6, 8, 10),
                      local_widths=(6, 6), d=8,
-                     schemes=(SubregionScheme("SQ", 4, (7, 7)),),
+                     schemes=(SubregionScheme("SQ", 4),),
                      da_mode=True, da_reduce_widths=(8, 6),
                      da_local_widths=(6, 6))
 

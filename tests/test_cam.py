@@ -14,7 +14,7 @@ from artifacts import load_synth_meta
 
 SMALL = DamConfig(input_hw=(64, 64), stage_widths=(4, 6, 8, 10),
                   local_widths=(6, 6), d=8,
-                  schemes=(SubregionScheme("SQ", 4, (7, 7)),))
+                  schemes=(SubregionScheme("SQ", 4),))
 
 
 @pytest.fixture(scope="module")
@@ -102,7 +102,7 @@ class TestCamLocalization:
                              domain_style="source", jitter_px=12)
         train = load_split(res.manifest, root, "train")
         val = load_split(res.manifest, root, "val")
-        config = DamConfig(schemes=(SubregionScheme("SQ", 4, (7, 7)),))
+        config = DamConfig(schemes=(SubregionScheme("SQ", 4),))
         # no early stop: accuracy saturates long before the map tightens
         out = train_dam(train, val, config,
                         TrainConfig(epochs=40, seed=0, lr_decay_every=15))

@@ -39,7 +39,7 @@ from artifacts import load_metrics_csv
 from oracles import kmeans2_best_split
 
 SMALL_MODEL = {"stage_widths": [4, 6, 8, 10], "local_widths": [6, 6], "d": 8,
-               "schemes": [{"kind": "SQ", "count": 4, "pooled": [7, 7]}]}
+               "schemes": [{"kind": "SQ", "count": 4}]}
 SMALL_DA_MODEL = dict(SMALL_MODEL, da_mode=True, da_reduce_widths=[8, 6],
                       da_local_widths=[6, 6])
 
@@ -251,8 +251,9 @@ class TestConfigErrors:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("section,key,value", [
+        # the ROI output size is the stage-4 map's, so pooled is an unknown key
+        ("model", "schemes", [{"kind": "SQ", "count": 4, "pooled": [7, 7]}]),
         # each used to end in a traceback, most only once training had started
-        ("model", "schemes", [{"kind": "SQ", "count": 4, "pooled": [7]}]),
         ("synth", "image_hw", [64]),
         ("synth", "seed", "x"),
         ("synth", "n_per_class", "3"),
@@ -263,7 +264,7 @@ class TestConfigErrors:
         ("train", "early_stop_val_acc", "x"),
         ("paths", "run_dir", 5),
         # each used to load silently
-        ("model", "schemes", [{"kind": "SQ", "count": 4, "pooled": [7, 7], "bogus": 1}]),
+        ("model", "schemes", [{"kind": "SQ", "count": 4, "bogus": 1}]),
         ("train", "early_stop_val_acc", float("nan")),
         ("synth", "jitter_px", 1.5),
         ("pipeline", "split_fractions", [0.5, 0.5]),
@@ -289,6 +290,27 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert f"section '{section}': {key}" in err
         assert "Traceback" not in err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("sub,section,value,message", [
+        # each used to exit 2: synth after writing every tile, cam after a
+        # checkpoint load and a forward, train at the first batch
+        ("synth", "pipeline", {"split_fractions": [0.5, 0.5, 0.5]},
+         "split_fractions must be non-negative and sum to 1"),
+        ("grid", "pipeline", {"cell_size_m": 0}, "cell_size_m must be positive"),
+        ("grid", "pipeline", {"cell_size_m": -30.0}, "cell_size_m must be positive"),
+        ("cam", "cam", {"class_index": 2}, "class_index must be 0 (safe) or 1 (dangerous)"),
+        ("cam", "cam", {"class_index": -1}, "class_index must be 0 (safe) or 1 (dangerous)"),
+        ("train", "model", {"schemes": [{"kind": "SQ"}, {"kind": "SQ"}]},
+         "duplicate scheme kind SQ"),
+    ])
+    def test_checked_value_fails_at_load(self, tmp_path, capsys, sub, section, value,
+                                         message):
+        cfg = write_config(tmp_path / "c.json",
+                           {section: value, "paths": {"run_dir": str(tmp_path / "run")}})
+        assert main([sub, "--config", cfg]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"section '{section}': {message}" in err and "Traceback" not in err
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("doc,message", [

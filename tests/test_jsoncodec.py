@@ -55,11 +55,15 @@ FIELDS += [(("model", "schemes", 0), key, tp) for key, tp in _hints(SubregionSch
 # does not make a value valid
 SCHEMES = st.lists(st.sampled_from([{"kind": "HS", "count": 4}, {"kind": "VS", "count": 2},
                                     {"kind": "SQ", "count": 9},
-                                    {"kind": "SQ", "count": 1, "pooled": [7, 7]}]).map(dict),
-                   min_size=1, max_size=3)
+                                    {"kind": "SQ", "count": 1}]).map(dict),
+                   min_size=1, max_size=3, unique_by=lambda s: s["kind"])
+FRACTIONS = st.sampled_from([[0.7, 0.15, 0.15], [1, 0, 0], [0.5, 0.25, 0.25],
+                             [0.8, 0.2, 0.0]]).map(list)
 SPECIAL = {
     ("model", "schemes"): SCHEMES,
     ("da", "batch_size"): st.integers(1, 32).map(lambda n: 2 * n),
+    ("pipeline", "split_fractions"): FRACTIONS,
+    ("cam", "class_index"): st.sampled_from([0, 1]),
 }
 
 

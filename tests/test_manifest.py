@@ -155,3 +155,8 @@ class TestAssignSplits:
     def test_bad_fractions_rejected(self):
         with pytest.raises(ManifestError, match="sum to 1"):
             assign_splits([entry(0, 0)], (0.5, 0.2, 0.2), seed=0)
+
+    @pytest.mark.parametrize("fractions", [(1.2, -0.2, 0.0), (float("nan"), 0.5, 0.5)])
+    def test_negative_or_nan_fraction_rejected(self, fractions):
+        with pytest.raises(ManifestError, match="non-negative"):
+            assign_splits([entry(0, 0)], fractions, seed=0)

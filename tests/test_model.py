@@ -14,7 +14,9 @@ from safemap.model import (
     partition_regions,
     select_region,
 )
-from safemap.model.training import Dataset, batch_tensor, evaluate
+from safemap.model import network
+from safemap.model.training import Dataset, TrainConfig, batch_tensor, evaluate, train_dam
+from safemap.report import cam
 
 # Small geometry for fast full-model checks: 24 -> 11 -> 11 -> 5 -> 2
 TOY = dict(input_hw=(24, 24), stage_widths=(3, 4, 5, 6), local_widths=(3, 4), d=6)
@@ -24,10 +26,6 @@ def toy_config(schemes, **over):
     kw = dict(TOY)
     kw.update(over)
     return DamConfig(schemes=schemes, **kw)
-
-
-def scheme(kind, count, pooled=(3, 3)):
-    return SubregionScheme(kind, count, pooled)
 
 
 class TestPartition:
@@ -69,10 +67,14 @@ class TestPartition:
         with pytest.raises(ConfigError, match="square"):
             SubregionScheme("SQ", 5)
 
+    def test_duplicate_kind_rejected_by_config(self):
+        with pytest.raises(ConfigError, match="duplicate scheme kind SQ"):
+            DamConfig(schemes=(SubregionScheme("SQ", 4), SubregionScheme("SQ", 9)))
+
 
 class TestLocalForward:
     def test_probabilities_sum_to_one(self):
-        cfg = toy_config((scheme("SQ", 4),))
+        cfg = toy_config((SubregionScheme("SQ", 4),))
         params = init_params(cfg, seed=0)
         rng = np.random.default_rng(0)
         shared = Tensor(rng.normal(size=(3, cfg.stage_widths[1], 11, 11)))
@@ -81,7 +83,7 @@ class TestLocalForward:
         assert local_map.shape == (3, cfg.local_widths[1], 3, 3)
 
     def test_zeroed_local_fc_gives_uniform_probs(self):
-        cfg = toy_config((scheme("SQ", 4),))
+        cfg = toy_config((SubregionScheme("SQ", 4),))
         params = init_params(cfg, seed=0)
         params["local.fc.weight"].data[...] = 0.0
         params["local.fc.bias"].data[...] = 0.0
@@ -121,7 +123,7 @@ class TestSelectRegion:
 
 class TestForward:
     def test_output_shapes(self):
-        cfg = toy_config((scheme("SQ", 4),))
+        cfg = toy_config((SubregionScheme("SQ", 4),))
         params = init_params(cfg, seed=0)
         x = Tensor(np.random.default_rng(0).normal(size=(1, 3, 24, 24)))
         trace = forward(x, params, cfg)
@@ -129,7 +131,7 @@ class TestForward:
         assert trace.feature.shape == (1, cfg.d)
 
     def test_single_region_selected_zero_and_fusion_arithmetic(self):
-        cfg = toy_config((scheme("SQ", 1),))
+        cfg = toy_config((SubregionScheme("SQ", 1),))
         params = init_params(cfg, seed=0)
         x = Tensor(np.random.default_rng(1).normal(size=(2, 3, 24, 24)))
         trace = forward(x, params, cfg)
@@ -137,10 +139,10 @@ class TestForward:
         assert trace.cam_map.shape[1] == cfg.stage_widths[3] + cfg.local_widths[1]
 
     @pytest.mark.parametrize("schemes", [
-        (scheme("HS", 2),),
-        (scheme("VS", 2),),
-        (scheme("SQ", 4),),
-        (scheme("HS", 2), scheme("VS", 2), scheme("SQ", 4)),
+        (SubregionScheme("HS", 2),),
+        (SubregionScheme("VS", 2),),
+        (SubregionScheme("SQ", 4),),
+        (SubregionScheme("HS", 2), SubregionScheme("VS", 2), SubregionScheme("SQ", 4)),
     ])
     def test_fusion_shape_law(self, schemes):
         cfg = toy_config(schemes)
@@ -151,7 +153,7 @@ class TestForward:
         assert len(trace.region_tags) == sum(s.count for s in schemes)
 
     def test_zeroed_local_classifier_selects_index_zero(self):
-        cfg = toy_config((scheme("SQ", 4),))
+        cfg = toy_config((SubregionScheme("SQ", 4),))
         params = init_params(cfg, seed=3)
         params["local.fc.weight"].data[...] = 0.0
         params["local.fc.bias"].data[...] = 0.0
@@ -170,7 +172,7 @@ class TestForward:
         assert trace.selected is None and trace.region_probs is None
 
     def test_da_mode_appends_reduce_convs(self):
-        cfg = toy_config((scheme("SQ", 4),), da_mode=True,
+        cfg = toy_config((SubregionScheme("SQ", 4),), da_mode=True,
                          da_reduce_widths=(5, 4), da_local_widths=(2, 3))
         params = init_params(cfg, seed=0)
         assert "da.reduce1.weight" in {p.name for p in params.all()}
@@ -181,7 +183,7 @@ class TestForward:
         assert params["local.conv2.weight"].shape[0] == 3
 
     def test_wrong_input_size_rejected(self):
-        cfg = toy_config((scheme("SQ", 4),))
+        cfg = toy_config((SubregionScheme("SQ", 4),))
         params = init_params(cfg, seed=0)
         with pytest.raises(ConfigError, match="input shape"):
             forward(Tensor(np.zeros((1, 3, 32, 32))), params, cfg)
@@ -190,6 +192,43 @@ class TestForward:
     def test_stage_geometry_is_not_a_config_key(self, key):
         with pytest.raises(ConfigError, match=f"unknown keys \\['{key}'\\]"):
             DamConfig.from_dict({key: [2, 1, 2, 2]})
+
+
+class TestFusion:
+    def test_default_fused_tail_is_the_selected_conv2_map(self, monkeypatch):
+        # at 64 px every subregion pools straight to the 7x7 stage-4 size, so
+        # the winner's conv2 map is concatenated as it is
+        cfg = DamConfig()
+        params = init_params(cfg, seed=0)
+        maps = []
+
+        def recording(*args):
+            probs, m = real(*args)
+            maps.append(m.data)
+            return probs, m
+
+        real = network.local_forward
+        monkeypatch.setattr(network, "local_forward", recording)
+        images = np.random.default_rng(6).integers(0, 256, size=(4, 3, 64, 64), dtype=np.uint8)
+        trace = forward(batch_tensor(images), params, cfg)
+        l2 = cfg.local_widths[1]
+        assert trace.cam_map.shape[2:] == (7, 7) and len(maps) == 4
+        for b, r in enumerate(trace.selected):
+            assert trace.cam_map.data[b, -l2:].tobytes() == maps[r][b].tobytes()
+
+    @pytest.mark.parametrize("side,stage4", [(96, 11), (128, 15)])
+    def test_larger_inputs_run(self, side, stage4):
+        # the SQ4 subregions, at least 23 and 31 px on a side, pool to the stage-4 size
+        cfg = DamConfig(input_hw=(side, side))
+        params = init_params(cfg, seed=0)
+        images = np.random.default_rng(side).integers(0, 256, size=(2, 3, side, side),
+                                                      dtype=np.uint8)
+        trace = forward(batch_tensor(images), params, cfg)
+        assert trace.cam_map.shape == (2, cfg.fused_channels, stage4, stage4)
+        data = Dataset(images=images, labels=np.array([0, 1]), entries=[])
+        out = train_dam(data, None, cfg, TrainConfig(epochs=1, batch_size=2), params=params)
+        assert out.epochs_run == 1 and np.isfinite(out.metrics[0].loss)
+        assert cam(images[0].transpose(1, 2, 0), out.params, cfg, 1).values.shape == (side, side)
 
 
 def _min_selection_gap(trace) -> float:
@@ -256,10 +295,10 @@ def material_grad_errors(fn, params, top_k=3, eps=1e-6):
 
 class TestFullModelGradCheck:
     @pytest.mark.parametrize("schemes", [
-        (scheme("HS", 2),),
-        (scheme("VS", 2),),
-        (scheme("SQ", 4),),
-        (scheme("HS", 2), scheme("VS", 2), scheme("SQ", 4)),
+        (SubregionScheme("HS", 2),),
+        (SubregionScheme("VS", 2),),
+        (SubregionScheme("SQ", 4),),
+        (SubregionScheme("HS", 2), SubregionScheme("VS", 2), SubregionScheme("SQ", 4)),
     ])
     def test_end_to_end_gradients(self, schemes):
         cfg = toy_config(schemes)
@@ -273,7 +312,7 @@ class TestFullModelGradCheck:
         assert worst < 1e-4
 
     def test_da_mode_gradients(self):
-        cfg = toy_config((scheme("SQ", 4),), da_mode=True,
+        cfg = toy_config((SubregionScheme("SQ", 4),), da_mode=True,
                          da_reduce_widths=(5, 4), da_local_widths=(3, 3))
         (seed, params, x, y), = gapped_cases(cfg, want=1)
 
@@ -284,7 +323,7 @@ class TestFullModelGradCheck:
 
     def test_local_fc_stays_gradient_free(self):
         from safemap.autodiff import Tape, backward
-        cfg = toy_config((scheme("SQ", 4),))
+        cfg = toy_config((SubregionScheme("SQ", 4),))
         params = init_params(cfg, seed=0)
         x = Tensor(np.random.default_rng(0).normal(size=(2, 3, 24, 24)))
         with Tape():
@@ -308,7 +347,7 @@ class TestPredict:
     """Labels and class probabilities as ``evaluate`` gives them to every caller."""
 
     def test_probs_sum_to_one_and_deterministic(self):
-        cfg = toy_config((scheme("SQ", 4),))
+        cfg = toy_config((SubregionScheme("SQ", 4),))
         params = init_params(cfg, seed=0)
         ds = unlabeled(np.random.default_rng(0).integers(0, 256, size=(5, 3, 24, 24),
                                                          dtype=np.uint8))

@@ -25,6 +25,13 @@ def test_excessive_jitter_rejected(tmp_path):
         synth_generate(tmp_path, n_per_class=1, image_hw=(64, 64), jitter_px=32, seed=0)
 
 
+def test_bad_split_fractions_rejected_before_rendering(tmp_path):
+    with pytest.raises(SynthError, match="split_fractions"):
+        synth_generate(tmp_path / "out", n_per_class=20, seed=0,
+                       split_fractions=(0.5, 0.5, 0.5))
+    assert not (tmp_path / "out").exists()
+
+
 def test_same_seed_byte_identical(tmp_path):
     a = tmp_path / "a"
     b = tmp_path / "b"

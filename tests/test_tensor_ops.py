@@ -21,7 +21,6 @@ from safemap.autodiff import (
     Tape,
     Tensor,
     TensorError,
-    adaptive_avg_pool,
     astype,
     backward,
     channel_concat,
@@ -425,10 +424,15 @@ class TestRelu:
         assert x.grad.tobytes() == np.array([0.0, 0.0, 1.0, 0.0, 1.0]).tobytes()
 
 
+def full_map_pool(x, out_hw):
+    """Adaptive average pooling: ``roi_avg_pool`` over the whole map."""
+    return roi_avg_pool(x, Rect(0, x.shape[2], 0, x.shape[3]), out_hw)
+
+
 class TestAdaptiveAvgPool:
     def test_2x2_to_1x1_is_mean(self):
         x = Tensor(np.array([[[[1.0, 2.0], [3.0, 4.0]]]]))
-        out = adaptive_avg_pool(x, (1, 1))
+        out = full_map_pool(x, (1, 1))
         assert out.item() == pytest.approx(2.5, abs=0)
 
     @pytest.mark.parametrize("hw,out_hw", [((7, 7), (7, 7)), ((31, 31), (7, 7)),
@@ -436,7 +440,7 @@ class TestAdaptiveAvgPool:
     def test_matches_naive_oracle(self, hw, out_hw):
         rng = np.random.default_rng(hw[0])
         x = rng.normal(size=(2, 3, *hw))
-        out = adaptive_avg_pool(Tensor(x), out_hw)
+        out = full_map_pool(Tensor(x), out_hw)
         expect = adaptive_avg_pool_naive(x, *out_hw)
         np.testing.assert_allclose(out.data, expect, rtol=0, atol=1e-12)
 
@@ -445,12 +449,12 @@ class TestAdaptiveAvgPool:
     @settings(max_examples=40, deadline=None)
     def test_global_mean_preserved_at_1x1(self, b, c, h, w, seed):
         x = np.random.default_rng(seed).normal(size=(b, c, h, w))
-        out = adaptive_avg_pool(Tensor(x), (1, 1))
+        out = full_map_pool(Tensor(x), (1, 1))
         np.testing.assert_allclose(out.data[:, :, 0, 0], x.mean(axis=(2, 3)), atol=1e-12)
 
     def test_pooling_up_is_rejected(self):
         with pytest.raises(ShapeError, match="empty bins"):
-            adaptive_avg_pool(Tensor(np.zeros((1, 1, 3, 3))), (4, 4))
+            full_map_pool(Tensor(np.zeros((1, 1, 3, 3))), (4, 4))
 
 
 class TestRoiAvgPool:

@@ -21,7 +21,7 @@ from artifacts import load_metrics_csv
 
 SMALL = DamConfig(input_hw=(64, 64), stage_widths=(4, 6, 8, 10),
                   local_widths=(6, 6), d=8,
-                  schemes=(SubregionScheme("SQ", 4, (7, 7)),))
+                  schemes=(SubregionScheme("SQ", 4),))
 
 
 @pytest.fixture(scope="module")
